@@ -36,7 +36,9 @@ from .detection import (
     closed_form_fidelity,
     condition,
     fidelity,
+    pattern_table,
     povm_element,
+    reweight,
 )
 from .protocols import (
     KerrStrengthParams,
@@ -47,9 +49,11 @@ from .protocols import (
     kerr_qnd,
     kerr_tau,
     noon_bound,
+    number_device,
     number_device_transform,
     number_qnd,
     pdc_state,
+    pol_device,
     pol_device_transform,
     pol_fidelity_approx,
     pol_qnd,

@@ -17,7 +17,7 @@ from . import protocols
 from .circuits import CircuitSyntaxError, parse_circuit
 from .detection import DetectorModel, closed_form_fidelity
 from .fock import FockState, TruncationError
-from .optics import apply as apply_transform
+from .optics import KerrGateSpec, apply as apply_transform
 from .protocols import (
     KerrStrengthParams,
     NumberInputSpec,
@@ -43,6 +43,14 @@ def _parse_complex(tok: str) -> complex:
         raise click.UsageError(f"bad complex literal {tok!r}") from None
 
 
+def _spec(make, *args):
+    """Build an input spec; a value it rejects is a usage error (exit 2)."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
+
+
 def _parse_theta(text: str | None) -> PolarizationAngle:
     if text is None:
         return PolarizationAngle.diagonal()
@@ -54,7 +62,7 @@ def _parse_theta(text: str | None) -> PolarizationAngle:
         phi = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise click.UsageError(f"bad theta {text!r}") from None
-    return PolarizationAngle.from_bloch(theta, phi)
+    return _spec(PolarizationAngle.from_bloch, theta, phi)
 
 
 def _parse_input(text: str | None, gamma: float | None) -> NumberInputSpec:
@@ -68,15 +76,8 @@ def _parse_input(text: str | None, gamma: float | None) -> NumberInputSpec:
         norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2)
         if norm == 0.0:
             raise click.UsageError("--input amplitudes are all zero")
-        try:
-            return NumberInputSpec(c0 / norm, c1 / norm, c2 / norm)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
-    if gamma is None:
-        gamma = 0.0
-    if gamma < 0:
-        raise click.UsageError("gamma must be non-negative")
-    return NumberInputSpec.from_gamma(gamma)
+        return _spec(NumberInputSpec, c0 / norm, c1 / norm, c2 / norm)
+    return _spec(NumberInputSpec.from_gamma, 0.0 if gamma is None else gamma)
 
 
 @click.group()
@@ -101,8 +102,9 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
         gammas = [float(g) for g in gamma_list.split(",") if g.strip() != ""]
     except ValueError:
         raise click.UsageError(f"bad gamma list {gamma_list!r}") from None
-    if not gammas or any(g < 0 for g in gammas):
-        raise click.UsageError("gamma values must be non-negative")
+    if not gammas:
+        raise click.UsageError("gamma list is empty")
+    specs = [_spec(NumberInputSpec.from_gamma, g) for g in gammas]
     parts = eta2_range.split(":")
     if len(parts) != 3:
         raise click.UsageError("eta2 range must be start:stop:steps")
@@ -112,6 +114,8 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
         raise click.UsageError(f"bad eta2 range {eta2_range!r}") from None
     if not (0.0 <= start < stop <= 1.0) or steps < 2:
         raise click.UsageError("need 0 <= start < stop <= 1 and steps >= 2")
+    if protocol == "number" and not 0.0 < transmission < 1.0:
+        raise click.UsageError(f"transmission must be in (0, 1), got {transmission}")
     angle = _parse_theta(theta)
     # semicolon keeps the angle pair inside a single CSV field
     theta_field = "" if protocol == "number" else (
@@ -119,17 +123,20 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
     )
 
     lines = ["protocol,eta2,gamma,theta,success_prob,fidelity_sim,fidelity_closed,abs_diff"]
-    for gamma in gammas:
-        spec = NumberInputSpec.from_gamma(gamma)
+    for gamma, spec in zip(gammas, specs):
+        # evolution does not depend on eta2: evolve once, reweight per row
+        if protocol == "number":
+            device = protocols.number_device(spec, transmission)
+        else:
+            device = protocols.pol_device(spec, angle)
         for i in range(steps):
-            eta2 = start + (stop - start) * i / (steps - 1)
-            det = DetectorModel(eta2)
+            # the last point is `stop` itself, which the formula can miss by an ulp
+            eta2 = stop if i == steps - 1 else start + (stop - start) * i / (steps - 1)
+            outc = device.outcome(DetectorModel(eta2))
             eta = math.sqrt(eta2)
             if protocol == "number":
-                outc = protocols.number_qnd(spec, transmission, det)
                 closed = closed_form_fidelity(gamma, eta)
             else:
-                outc = protocols.pol_qnd(spec, angle, det)
                 closed = protocols.pol_fidelity_approx(gamma, eta)
             lines.append(
                 ",".join(
@@ -193,6 +200,8 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
 
     if not 0.0 <= eta2 <= 1.0:
         raise click.UsageError("eta2 must be in [0, 1]")
+    if protocol == "kerr":
+        _spec(KerrGateSpec, tau)
     spec = _parse_input(input_text, gamma)
     det = DetectorModel(eta2)
     angle = _parse_theta(theta)

@@ -19,10 +19,9 @@ from .fock import (
     MixedState,
     ModeMismatchError,
     as_channels,
+    group_by_pattern,
     inner_product,
 )
-
-_PRUNE_TOL = 1e-30
 
 
 @dataclass(frozen=True)
@@ -111,50 +110,95 @@ class DetectorSignature:
         return tuple(e.channel for e in self.entries)
 
 
+class PatternTable:
+    """An evolved state's support bucketed by detected-channel pattern.
+
+    Holds each pattern's mass and its amplitudes on the kept channels, and no
+    detector model: `reweight` applies one.  A pattern's normalized branch
+    state is built the first time a detector gives it a non-zero POVM factor
+    and is then reused, because most patterns never get one.
+    """
+
+    __slots__ = ("detected", "kept", "n_max", "patterns", "_branches")
+
+    def __init__(
+        self,
+        detected: tuple[Channel, ...],
+        kept: tuple[Channel, ...],
+        n_max: int,
+        patterns: dict[tuple[int, ...], tuple[float, dict[tuple[int, ...], complex]]],
+    ):
+        self.detected = detected
+        self.kept = kept
+        self.n_max = n_max
+        self.patterns = patterns  # pattern -> (mass, kept-channel amplitudes)
+        self._branches: dict[tuple[int, ...], FockState] = {}
+
+    def branch(self, pattern: tuple[int, ...]) -> FockState:
+        """Normalized kept-channel state of one pattern."""
+        st = self._branches.get(pattern)
+        if st is None:
+            _, amps = self.patterns[pattern]
+            st = self._branches[pattern] = FockState(self.kept, amps, self.n_max).normalized()
+        return st
+
+
+def pattern_table(
+    state: FockState, detected_channels: Iterable[ChannelLike]
+) -> PatternTable:
+    """Bucket `state` by its occupations of `detected_channels`; evolves nothing.
+
+    Patterns keep the order of their first appearance in the support.
+    """
+    chans = state.channels
+    detected = as_channels(detected_channels)
+    for c in detected:
+        if c not in chans:
+            raise ModeMismatchError(f"detected channel {c} not in state")
+    kept = tuple(c for c in chans if c not in detected)
+    patterns = group_by_pattern(
+        state, [chans.index(c) for c in detected], [chans.index(c) for c in kept]
+    )
+    return PatternTable(detected, kept, state.n_max, patterns)
+
+
+def reweight(table: PatternTable, sig: DetectorSignature) -> tuple[float, MixedState]:
+    """Apply one signature's POVM factors to a pattern table.
+
+    Returns (probability, unnormalized conditional ensemble on the kept
+    channels); the branch weights sum to the probability.  Each pattern is
+    weighted by the product of its POVM coefficients.  The signature must list
+    the table's detected channels in the table's order.
+    """
+    if sig.channels != table.detected:
+        raise ModeMismatchError(
+            f"signature channels {sig.channels} differ from the table's {table.detected}"
+        )
+    # occupations never exceed n_max, so every photon number is tabulated
+    coeffs = [
+        povm_element(e.reading, e.detector, table.n_max).coefficients
+        for e in sig.entries
+    ]
+    weights: list[float] = []
+    branches: list[tuple[float, FockState]] = []
+    for pattern, (mass, _) in table.patterns.items():
+        povm_factor = math.prod(map(tuple.__getitem__, coeffs, pattern))
+        if povm_factor == 0.0:
+            continue
+        w = povm_factor * mass
+        weights.append(w)
+        branches.append((w, table.branch(pattern)))
+    return math.fsum(weights), MixedState(tuple(branches))
+
+
 def condition(state: FockState, sig: DetectorSignature) -> tuple[float, MixedState]:
     """Condition a pure state on a detector signature.
 
     Returns (probability, unnormalized conditional ensemble on the kept
-    channels); the branch weights sum to the probability.  Exact for
-    Fock-diagonal POVMs: the support is grouped by detected-channel occupation
-    pattern, each group weighted by the product of POVM coefficients, and the
-    detected channels are traced out.
+    channels), exactly `reweight(pattern_table(state, sig.channels), sig)`.
+    Exact for Fock-diagonal POVMs; the detected channels are traced out.
     """
-    chans = state.channels
-    for entry in sig.entries:
-        if entry.channel not in chans:
-            raise ModeMismatchError(f"signature on unknown channel {entry.channel}")
-    det_idx = [chans.index(e.channel) for e in sig.entries]
-    kept = tuple(c for c in chans if c not in sig.channels)
-    kept_idx = [chans.index(c) for c in kept]
-    elements = [
-        povm_element(e.reading, e.detector, state.n_max) for e in sig.entries
-    ]
-
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for occ, a in state.amplitudes.items():
-        pattern = tuple(occ[i] for i in det_idx)
-        kept_occ = tuple(occ[i] for i in kept_idx)
-        bucket = groups.setdefault(pattern, {})
-        bucket[kept_occ] = bucket.get(kept_occ, 0.0 + 0.0j) + a
-
-    weights: list[float] = []
-    branches: list[tuple[float, FockState]] = []
-    for pattern, amps in groups.items():
-        povm_factor = math.prod(
-            el.coefficient(n) for el, n in zip(elements, pattern)
-        )
-        if povm_factor == 0.0:
-            continue
-        mass = math.fsum(abs(a) ** 2 for a in amps.values())
-        if mass <= _PRUNE_TOL:
-            continue
-        w = povm_factor * mass
-        weights.append(w)
-        branch = FockState(kept, amps, state.n_max).normalized()
-        branches.append((w, branch))
-    probability = math.fsum(weights)
-    return probability, MixedState(tuple(branches))
+    return reweight(pattern_table(state, sig.channels), sig)
 
 
 def fidelity(rho: MixedState, target: FockState) -> float:

@@ -267,6 +267,29 @@ def _as_mixed(rho: MixedState | FockState) -> MixedState:
     return rho
 
 
+def group_by_pattern(
+    state: FockState, pattern_idx: Sequence[int], kept_idx: Sequence[int]
+) -> dict[tuple[int, ...], tuple[float, dict[tuple[int, ...], complex]]]:
+    """Bucket the support by the occupations at `pattern_idx`.
+
+    Maps each pattern, in order of first appearance, to (mass, amplitudes on
+    the `kept_idx` channels); patterns of numerically dead mass are dropped.
+    A partial trace and a Fock-diagonal measurement both reduce to this.
+    """
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    for occ, a in state.amplitudes.items():
+        pattern = tuple(occ[i] for i in pattern_idx)
+        kept_occ = tuple(occ[i] for i in kept_idx)
+        bucket = groups.setdefault(pattern, {})
+        bucket[kept_occ] = bucket.get(kept_occ, 0.0 + 0.0j) + a
+    table = {}
+    for pattern, amps in groups.items():
+        mass = math.fsum(abs(a) ** 2 for a in amps.values())
+        if mass > _PRUNE_TOL:
+            table[pattern] = (mass, amps)
+    return table
+
+
 def partial_trace_keep(
     rho: MixedState | FockState, keep: Iterable[ChannelLike]
 ) -> MixedState:
@@ -289,16 +312,8 @@ def partial_trace_keep(
 
     out: list[tuple[float, FockState]] = []
     for weight, state in rho.branches:
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-        for occ, a in state.amplitudes.items():
-            pattern = tuple(occ[i] for i in drop_idx)
-            kept_occ = tuple(occ[i] for i in keep_idx)
-            bucket = groups.setdefault(pattern, {})
-            bucket[kept_occ] = bucket.get(kept_occ, 0.0 + 0.0j) + a
-        for amps in groups.values():
-            mass = math.fsum(abs(a) ** 2 for a in amps.values())
-            if mass <= _PRUNE_TOL:
-                continue
+        for mass, amps in group_by_pattern(state, drop_idx, keep_idx).values():
             branch = FockState(kept, amps, state.n_max).normalized()
             out.append((weight * mass, branch))
     return MixedState(tuple(out))
+

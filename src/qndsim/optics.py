@@ -53,6 +53,10 @@ class KerrGateSpec:
 
     tau: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
+
 
 class ModeTransform:
     """Unitary acting on an ordered tuple of channels."""

@@ -21,14 +21,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .detection import (
     IDEAL,
     DetectorModel,
     DetectorSignature,
+    PatternTable,
     condition,
     fidelity as _fidelity,
+    pattern_table,
+    reweight,
 )
 from .fock import Channel, FockState, MixedState, Mode, tensor
 from .optics import (
@@ -43,6 +45,7 @@ from .optics import (
 )
 
 __all__ = [
+    "EvolvedDevice",
     "NumberInputSpec",
     "PolarizationAngle",
     "PdcSourceSpec",
@@ -50,6 +53,8 @@ __all__ = [
     "ProtocolOutcome",
     "number_device_transform",
     "pol_device_transform",
+    "number_device",
+    "pol_device",
     "number_qnd",
     "pol_qnd",
     "pol_fidelity_approx",
@@ -72,7 +77,7 @@ class NumberInputSpec:
 
     def __post_init__(self):
         total = abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"input coefficients not normalized: sum {total}")
 
     @property
@@ -85,8 +90,8 @@ class NumberInputSpec:
     @classmethod
     def from_gamma(cls, gamma: float, c0: complex = 0.0) -> "NumberInputSpec":
         """One- and two-photon amplitudes in ratio |c2|^2/|c1|^2 = gamma."""
-        if gamma < 0.0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
         rest = 1.0 - abs(c0) ** 2
         c1 = math.sqrt(rest / (1.0 + gamma))
         c2 = math.sqrt(rest * gamma / (1.0 + gamma))
@@ -102,7 +107,7 @@ class PolarizationAngle:
 
     def __post_init__(self):
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # also rejects NaN
             raise ValueError(f"polarization not normalized: sum {total}")
 
     @classmethod
@@ -174,6 +179,25 @@ def _outcome(prob: float, out: MixedState, target: FockState) -> ProtocolOutcome
     return ProtocolOutcome(prob, out, fid, target)
 
 
+@dataclass(frozen=True)
+class EvolvedDevice:
+    """A heralding device after evolution, before detection.
+
+    Linear-optical evolution does not depend on the detector efficiency, so the
+    evolved state is tabulated once by heralding pattern and `outcome` only
+    applies a detector model: a sweep over efficiencies evolves once.
+    """
+
+    table: PatternTable
+    readings: tuple[int, ...]  # success signature, in table.detected order
+    target: FockState
+
+    def outcome(self, det: DetectorModel = IDEAL) -> ProtocolOutcome:
+        sig = DetectorSignature.of(dict(zip(self.table.detected, self.readings)), det)
+        prob, out = reweight(self.table, sig)
+        return _outcome(prob, out, self.target)
+
+
 # ---------------------------------------------------------------------------
 # Four-mode number device
 # ---------------------------------------------------------------------------
@@ -198,13 +222,10 @@ def number_device_transform(transmission: float = 0.5) -> ModeTransform:
     return net.embedded((_A, _B, _C, _D))
 
 
-def number_qnd(
-    input: NumberInputSpec,
-    transmission: float = 0.5,
-    det: DetectorModel = IDEAL,
-    n_max: int = 4,
-) -> ProtocolOutcome:
-    """Heralded single-photon detection in the four-mode interferometer.
+def number_device(
+    input: NumberInputSpec, transmission: float = 0.5, n_max: int = 4
+) -> EvolvedDevice:
+    """The four-mode interferometer evolved on `input`, ready for any detector.
 
     The signal enters mode a, probes |1,1> enter c and d, b is vacuum.  Success
     signature: readings (a -> 0, c -> 1, d -> 1); the heralded output lives in
@@ -220,10 +241,19 @@ def number_qnd(
     }
     state = FockState(channels, amps, n_max)
     state = apply(number_device_transform(transmission), state)
-    sig = DetectorSignature.of({_A: 0, _C: 1, _D: 1}, det)
-    prob, out = condition(state, sig)
     target = FockState.basis((_B,), (1,), n_max)
-    return _outcome(prob, out, target)
+    return EvolvedDevice(pattern_table(state, (_A, _C, _D)), (0, 1, 1), target)
+
+
+def number_qnd(
+    input: NumberInputSpec,
+    transmission: float = 0.5,
+    det: DetectorModel = IDEAL,
+    n_max: int = 4,
+) -> ProtocolOutcome:
+    """Heralded single-photon detection in the four-mode interferometer
+    (see `number_device`)."""
+    return number_device(input, transmission, n_max).outcome(det)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +304,11 @@ def _pol_input_amplitudes(
     }
 
 
-def pol_qnd(
-    input: NumberInputSpec,
-    theta: PolarizationAngle,
-    det: DetectorModel = IDEAL,
-    n_max: int = 6,
-) -> ProtocolOutcome:
-    """Polarization-preserving heralded single-photon detection.
+def pol_device(
+    input: NumberInputSpec, theta: PolarizationAngle, n_max: int = 6
+) -> EvolvedDevice:
+    """The polarization-preserving device evolved on `input`, ready for any
+    detector.
 
     The signal qubit enters the polarized mode a; four probe photons enter
     c.V, d.H, e.V, f.H.  Success signature: exactly one photon in each of the
@@ -293,10 +321,20 @@ def pol_qnd(
     }
     state = FockState(_POL_CHANNELS, amps, n_max)
     state = apply(pol_device_transform(), state)
-    sig = DetectorSignature.of({_P_CV: 1, _P_DH: 1, _P_EV: 1, _P_FH: 1}, det)
-    prob, out = condition(state, sig)
     target = FockState((_P_AH, _P_AV), {(1, 0): theta.alpha, (0, 1): theta.beta}, n_max)
-    return _outcome(prob, out, target)
+    table = pattern_table(state, (_P_CV, _P_DH, _P_EV, _P_FH))
+    return EvolvedDevice(table, (1, 1, 1, 1), target)
+
+
+def pol_qnd(
+    input: NumberInputSpec,
+    theta: PolarizationAngle,
+    det: DetectorModel = IDEAL,
+    n_max: int = 6,
+) -> ProtocolOutcome:
+    """Polarization-preserving heralded single-photon detection (see
+    `pol_device`)."""
+    return pol_device(input, theta, n_max).outcome(det)
 
 
 def pol_fidelity_approx(gamma: float, eta: float) -> float:
@@ -377,12 +415,13 @@ def _teleport(
     state = tensor(signal, pdc_state(src, (_TP1, _TP2), n_max))
     bs = beam_splitter(BeamSplitterSpec(0.5), _TS, _TP1)
     state = apply(bs, state)
+    table = pattern_table(state, (_TS_H, _TS_V, _TP1_H, _TP1_V))
 
     total = 0.0
     branches: list[tuple[float, FockState]] = []
     for pattern, correct in _BELL_PATTERNS:
-        readings = dict(zip((_TS_H, _TS_V, _TP1_H, _TP1_V), pattern))
-        prob, out = condition(state, DetectorSignature.of(readings, IDEAL))
+        readings = dict(zip(table.detected, pattern))
+        prob, out = reweight(table, DetectorSignature.of(readings, IDEAL))
         total += prob
         for w, st in out.branches:
             branches.append((w, _sigma_z(st, _TP2_V) if correct else st))
@@ -464,12 +503,14 @@ def kerr_qnd(
 # ---------------------------------------------------------------------------
 
 
+_HBAR = 1.0545718176461565e-34  # J s, h / 2 pi; exact in the 2019 SI
+_EPSILON_0 = 8.8541878188e-12  # F/m, CODATA 2022
+
+
 def kerr_tau(p: KerrStrengthParams) -> float:
     """Dimensionless cross-phase shift per photon pair:
     hbar omega^2 delta_t chi3 / (4 eps0 V)."""
-    return (
-        constants.hbar * p.omega**2 * p.delta_t * p.chi3 / (4.0 * constants.epsilon_0 * p.volume)
-    )
+    return _HBAR * p.omega**2 * p.delta_t * p.chi3 / (4.0 * _EPSILON_0 * p.volume)
 
 
 def noon_bound(n: int) -> float:

@@ -7,6 +7,15 @@ import pytest
 from click.testing import CliRunner
 
 from qndsim.cli import main
+from qndsim.detection import DetectorModel
+from qndsim.protocols import (
+    NumberInputSpec,
+    PolarizationAngle,
+    number_device,
+    number_qnd,
+    pol_device,
+    pol_qnd,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -17,6 +26,12 @@ def invoke(*args):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def sweep_grid(gammas, start, stop, steps):
+    """(gamma, eta2) per row, in the sweep's row order."""
+    return [(g, stop if i == steps - 1 else start + (stop - start) * i / (steps - 1))
+            for g in gammas for i in range(steps)]
 
 
 class TestSweep:
@@ -80,6 +95,59 @@ class TestSweep:
         assert invoke("sweep", "--protocol", "number", "--eta2", "junk").exit_code == 2
         assert invoke("sweep", "--protocol", "bogus").exit_code == 2
 
+    @pytest.mark.parametrize("protocol", ["number", "pol"])
+    def test_default_sweep_matches_golden_csv(self, protocol):
+        golden = (DATA / f"sweep_{protocol}.csv").read_text(encoding="utf-8")
+        assert invoke("sweep", "--protocol", protocol).output == golden
+
+    def test_number_rows_equal_standalone_calls(self):
+        gammas, start, stop, steps, t = (0.0, 0.3, 4.0), 0.55, 1.0, 10, 0.37
+        res = invoke("sweep", "--protocol", "number", "--gamma", "0,0.3,4",
+                     "--eta2", f"{start}:{stop}:{steps}", "-T", str(t))
+        rows = parse_csv(res.output)
+        assert len(rows) == len(gammas) * steps
+        devices = {g: number_device(NumberInputSpec.from_gamma(g), t) for g in gammas}
+        for row, (gamma, eta2) in zip(rows, sweep_grid(gammas, start, stop, steps)):
+            out = number_qnd(NumberInputSpec.from_gamma(gamma), t, DetectorModel(eta2))
+            assert row["success_prob"] == f"{out.success_probability:.12g}"
+            assert row["fidelity_sim"] == f"{out.fidelity:.12g}"
+            reused = devices[gamma].outcome(DetectorModel(eta2))
+            assert (reused.success_probability, reused.fidelity) == (
+                out.success_probability, out.fidelity)
+
+    def test_pol_rows_equal_standalone_calls(self):
+        gammas, start, stop, steps = (2.0, 0.0), 0.6, 1.0, 5
+        res = invoke("sweep", "--protocol", "pol", "--gamma", "2,0",
+                     "--eta2", f"{start}:{stop}:{steps}", "--theta", "1.1,0.4")
+        rows = parse_csv(res.output)
+        assert len(rows) == len(gammas) * steps
+        angle = PolarizationAngle.from_bloch(1.1, 0.4)
+        devices = {g: pol_device(NumberInputSpec.from_gamma(g), angle) for g in gammas}
+        for row, (gamma, eta2) in zip(rows, sweep_grid(gammas, start, stop, steps)):
+            out = pol_qnd(NumberInputSpec.from_gamma(gamma), angle, DetectorModel(eta2))
+            assert row["success_prob"] == f"{out.success_probability:.12g}"
+            assert row["fidelity_sim"] == f"{out.fidelity:.12g}"
+            reused = devices[gamma].outcome(DetectorModel(eta2))
+            assert (reused.success_probability, reused.fidelity) == (
+                out.success_probability, out.fidelity)
+
+    def test_grid_ends_exactly_at_stop(self):
+        # 0.2 + 0.8 * 3 / 3 rounds to 1.0000000000000002
+        res = invoke("sweep", "--protocol", "number", "--gamma", "1",
+                     "--eta2", "0.2:1.0:4")
+        assert res.exit_code == 0
+        rows = parse_csv(res.output)
+        assert [r["eta2"] for r in rows] == ["0.2", "0.466666666667", "0.733333333333", "1"]
+
+    def test_transmission_out_of_range_usage_error(self):
+        assert invoke("sweep", "--protocol", "number", "-T", "1.0").exit_code == 2
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_usage_error(self, gamma):
+        res = invoke("sweep", "--protocol", "number", "--gamma", gamma)
+        assert res.exit_code == 2
+        assert "nan," not in res.output
+
 
 class TestRun:
     def test_number_at_third_transmission(self):
@@ -111,6 +179,18 @@ class TestRun:
     def test_runtime_error_exit_one(self):
         res = invoke("run", "number", "--input", "0,1,0", "-T", "1.0")
         assert res.exit_code == 1
+
+    def test_nan_gamma_usage_error(self):
+        assert invoke("run", "number", "--gamma", "nan").exit_code == 2
+
+    def test_nan_input_amplitude_usage_error(self):
+        assert invoke("run", "number", "--input", "0,nan,0").exit_code == 2
+
+    def test_nan_tau_usage_error(self):
+        assert invoke("run", "kerr", "--tau", "nan").exit_code == 2
+
+    def test_nan_theta_usage_error(self):
+        assert invoke("run", "pol", "--theta", "nan").exit_code == 2
 
     def test_conflicting_input_flags(self):
         assert invoke("run", "number", "--input", "0,1,0", "--gamma", "2").exit_code == 2

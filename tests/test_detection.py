@@ -11,9 +11,18 @@ from qndsim.detection import (
     closed_form_fidelity,
     condition,
     fidelity,
+    pattern_table,
     povm_element,
+    reweight,
 )
-from qndsim.fock import Channel, FockState, MixedState, ModeMismatchError, tensor
+from qndsim.fock import (
+    Channel,
+    FockState,
+    MixedState,
+    ModeMismatchError,
+    partial_trace_keep,
+    tensor,
+)
 from qndsim.optics import BeamSplitterSpec, apply, beam_splitter
 from qndsim.protocols import number_device_transform
 
@@ -142,6 +151,50 @@ class TestCondition:
                 abs(a) ** 2 for occ, a in psi.amplitudes.items() if occ[0] >= 1
             )
             assert prob <= mass + 1e-12
+
+
+class TestPatternTable:
+    def test_one_table_serves_every_efficiency(self):
+        st = heralded_state(c=(0.3, 0.8, math.sqrt(1 - 0.09 - 0.64)))
+        table = pattern_table(st, (A, C, D))
+        for e in (0.0, 0.35, 0.88, 1.0):
+            sig = DetectorSignature.of({A: 0, C: 1, D: 1}, DetectorModel(e))
+            p1, out1 = reweight(table, sig)
+            p2, out2 = condition(st, sig)
+            assert p1 == p2
+            assert [w for w, _ in out1.branches] == [w for w, _ in out2.branches]
+            for (_, s1), (_, s2) in zip(out1.branches, out2.branches):
+                assert s1.amplitudes == s2.amplitudes
+
+    def test_signature_on_other_channels_rejected(self):
+        table = pattern_table(heralded_state(), (A, C, D))
+        with pytest.raises(ModeMismatchError):
+            reweight(table, DetectorSignature.of({A: 0, C: 1}))
+        with pytest.raises(ModeMismatchError):
+            reweight(table, DetectorSignature.of({D: 1, A: 0, C: 1}))
+        with pytest.raises(ModeMismatchError):
+            pattern_table(FockState.vacuum((A,)), (B,))
+
+    def test_branches_built_lazily_and_reused(self):
+        st = heralded_state(c=(0.0, 0.6, 0.8))
+        table = pattern_table(st, (A, C, D))
+        sig = DetectorSignature.of({A: 0, C: 1, D: 1})
+        _, first = reweight(table, sig)
+        # ideal detectors give a non-zero factor to the (0, 1, 1) pattern only
+        assert len(first.branches) == 1
+        assert set(table._branches) == {(0, 1, 1)}
+        _, again = reweight(table, sig)
+        assert again.branches[0][1] is first.branches[0][1]
+
+    def test_partial_trace_is_unit_povm_conditioning(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            psi = random_state(rng, (A, B, C), 2, 3)
+            table = pattern_table(psi, (A, C))
+            rho = partial_trace_keep(psi, (B,))
+            assert [w for w, _ in rho.branches] == [m for m, _ in table.patterns.values()]
+            for (_, st), pattern in zip(rho.branches, table.patterns):
+                assert st.amplitudes == table.branch(pattern).amplitudes
 
 
 class TestLossAncillaOracle:

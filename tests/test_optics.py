@@ -164,6 +164,11 @@ class TestKerrGate:
         out = kerr_gate(KerrGateSpec(math.pi / 2), A, B, st)
         assert out.amplitude((2, 1)) == pytest.approx(np.exp(-1j * math.pi))
 
+    def test_non_finite_tau_rejected(self):
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                KerrGateSpec(tau)
+
     def test_norm_and_photon_number_preserved(self):
         rng = np.random.default_rng(2)
         psi = random_state(rng, (A, B), 3, 4)

@@ -22,6 +22,7 @@ from qndsim.protocols import (
     teleport_pol_qnd,
 )
 from qndsim.fock import Mode
+from qndsim import protocols
 
 PURE_ONE = NumberInputSpec(0.0, 1.0, 0.0)
 PURE_TWO = NumberInputSpec(0.0, 0.0, 1.0)
@@ -80,6 +81,19 @@ class TestInputSpecs:
         assert abs(diag.alpha * diag.beta) ** 2 == pytest.approx(0.25)
         avg = PolarizationAngle.bloch_average()
         assert abs(avg.alpha * avg.beta) ** 2 == pytest.approx(1.0 / 6.0)
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError):
+            NumberInputSpec(0.0, math.nan, 0.0)
+
+    def test_non_finite_gamma_rejected(self):
+        for gamma in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                NumberInputSpec.from_gamma(gamma)
+
+    def test_nan_polarization_rejected(self):
+        with pytest.raises(ValueError):
+            PolarizationAngle.from_bloch(math.nan)
 
     def test_pdc_source(self):
         with pytest.raises(ValueError):
@@ -314,6 +328,12 @@ class TestCalculators:
         a = kerr_tau(KerrStrengthParams(3e15, 3e-11, 2e-22, 1e-7))
         b = kerr_tau(KerrStrengthParams(3e15, 3e-11, 2e-22, 2e-7))
         assert a == pytest.approx(2 * b)
+
+    def test_kerr_tau_constants_match_scipy(self):
+        from scipy import constants
+
+        assert protocols._HBAR == constants.hbar
+        assert protocols._EPSILON_0 == constants.epsilon_0
 
     def test_kerr_params_validation(self):
         with pytest.raises(ValueError):
