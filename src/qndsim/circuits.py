@@ -15,8 +15,6 @@ Complex literals are written `re+imi` (e.g. 0.5-0.5i, 1, -2i).
 
 from __future__ import annotations
 
-import re
-
 from .fock import Mode
 from .optics import (
     BeamSplitterSpec,
@@ -40,9 +38,6 @@ class CircuitSyntaxError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-_COMPLEX_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)?([eE][+-]?\d+)?$")
 
 
 def _parse_complex(tok: str, line_no: int) -> complex:
@@ -158,5 +153,5 @@ def parse_circuit(text: str) -> ModeTransform:
     total = identity_transform(all_channels)
     for _, t in transforms:
         total = compose(total, t)
-    # compose() orders channels by first appearance; restore declaration order
-    return total.embedded(all_channels) if total.channels != tuple(all_channels) else total
+    # starting from the identity on every declared channel keeps their order
+    return total

@@ -16,7 +16,7 @@ import click
 from . import protocols
 from .circuits import CircuitSyntaxError, parse_circuit
 from .detection import DetectorModel, closed_form_fidelity
-from .fock import FockState, TruncationError
+from .fock import FockState
 from .optics import KerrGateSpec, apply as apply_transform
 from .protocols import (
     KerrStrengthParams,
@@ -49,6 +49,15 @@ def _spec(make, *args):
         return make(*args)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+
+
+def _kerr_tau(omega: float, dt: float, chi3: float, volume: float) -> float:
+    """Kerr coupling shared by `run kerr-tau` and `kerr-tau`; bad values exit 1."""
+    try:
+        return protocols.kerr_tau(KerrStrengthParams(omega, dt, chi3, volume))
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 def _parse_theta(text: str | None) -> PolarizationAngle:
@@ -190,18 +199,16 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
                    if v is None]
         if missing:
             raise click.UsageError(f"kerr-tau needs {', '.join(missing)}")
-        try:
-            value = protocols.kerr_tau(KerrStrengthParams(omega, dt, chi3, volume))
-        except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        click.echo(f"tau {_fmt(value)}")
+        click.echo(f"tau {_fmt(_kerr_tau(omega, dt, chi3, volume))}")
         return
 
     if not 0.0 <= eta2 <= 1.0:
         raise click.UsageError("eta2 must be in [0, 1]")
+    if protocol == "number" and not 0.0 < transmission < 1.0:
+        raise click.UsageError(f"transmission must be in (0, 1), got {transmission}")
     if protocol == "kerr":
         _spec(KerrGateSpec, tau)
+    src = _spec(PdcSourceSpec, epsilon) if protocol.startswith("teleport") else None
     spec = _parse_input(input_text, gamma)
     det = DetectorModel(eta2)
     angle = _parse_theta(theta)
@@ -211,12 +218,12 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
         elif protocol == "pol":
             outc = protocols.pol_qnd(spec, angle, det)
         elif protocol == "teleport-number":
-            outc = protocols.teleport_number_qnd(spec, PdcSourceSpec(epsilon))
+            outc = protocols.teleport_number_qnd(spec, src)
         elif protocol == "teleport-pol":
-            outc = protocols.teleport_pol_qnd(spec, angle, PdcSourceSpec(epsilon))
+            outc = protocols.teleport_pol_qnd(spec, angle, src)
         else:  # kerr
             outc = protocols.kerr_qnd(spec, tau, det)
-    except (ValueError, TruncationError) as exc:
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
@@ -260,10 +267,9 @@ def circuit(path, amps):
                 raise click.UsageError(f"bad occupation in {item!r}") from None
             state_amps[occ] = state_amps.get(occ, 0j) + _parse_complex(amp_text)
         try:
-            n_max = max(6, max(max(occ) for occ in state_amps))
-            state = FockState(transform.channels, state_amps, n_max)
+            state = FockState(transform.channels, state_amps)
             result = apply_transform(transform, state.normalized())
-        except (ValueError, TruncationError) as exc:
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         click.echo("output")
@@ -278,12 +284,7 @@ def circuit(path, amps):
 @click.option("--volume", type=float, required=True, help="Interaction volume, m^3.")
 def kerr_tau_cmd(omega, dt, chi3, volume):
     """Dimensionless Kerr coupling for the given material parameters."""
-    try:
-        value = protocols.kerr_tau(KerrStrengthParams(omega, dt, chi3, volume))
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    click.echo(_fmt(value))
+    click.echo(_fmt(_kerr_tau(omega, dt, chi3, volume)))
 
 
 @main.command("noon-bound")

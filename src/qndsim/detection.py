@@ -119,19 +119,19 @@ class PatternTable:
     and is then reused, because most patterns never get one.
     """
 
-    __slots__ = ("detected", "kept", "n_max", "patterns", "_branches")
+    __slots__ = ("detected", "kept", "patterns", "top", "_branches")
 
     def __init__(
         self,
         detected: tuple[Channel, ...],
         kept: tuple[Channel, ...],
-        n_max: int,
         patterns: dict[tuple[int, ...], tuple[float, dict[tuple[int, ...], complex]]],
     ):
         self.detected = detected
         self.kept = kept
-        self.n_max = n_max
         self.patterns = patterns  # pattern -> (mass, kept-channel amplitudes)
+        # highest detected occupation, so POVM tables cover every pattern
+        self.top = max((n for pattern in patterns for n in pattern), default=0)
         self._branches: dict[tuple[int, ...], FockState] = {}
 
     def branch(self, pattern: tuple[int, ...]) -> FockState:
@@ -139,7 +139,7 @@ class PatternTable:
         st = self._branches.get(pattern)
         if st is None:
             _, amps = self.patterns[pattern]
-            st = self._branches[pattern] = FockState(self.kept, amps, self.n_max).normalized()
+            st = self._branches[pattern] = FockState(self.kept, amps).normalized()
         return st
 
 
@@ -159,7 +159,7 @@ def pattern_table(
     patterns = group_by_pattern(
         state, [chans.index(c) for c in detected], [chans.index(c) for c in kept]
     )
-    return PatternTable(detected, kept, state.n_max, patterns)
+    return PatternTable(detected, kept, patterns)
 
 
 def reweight(table: PatternTable, sig: DetectorSignature) -> tuple[float, MixedState]:
@@ -174,11 +174,10 @@ def reweight(table: PatternTable, sig: DetectorSignature) -> tuple[float, MixedS
         raise ModeMismatchError(
             f"signature channels {sig.channels} differ from the table's {table.detected}"
         )
-    # occupations never exceed n_max, so every photon number is tabulated
-    coeffs = [
-        povm_element(e.reading, e.detector, table.n_max).coefficients
-        for e in sig.entries
-    ]
+    # tabulated up to every occupation and every reading; a reading above
+    # all occupations gets zero coefficients instead of an error
+    top = max((table.top, *(e.reading for e in sig.entries)))
+    coeffs = [povm_element(e.reading, e.detector, top).coefficients for e in sig.entries]
     weights: list[float] = []
     branches: list[tuple[float, FockState]] = []
     for pattern, (mass, _) in table.patterns.items():

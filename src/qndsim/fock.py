@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-DEFAULT_N_MAX = 4
 NORM_TOL = 1e-12
 
 # amplitudes with |amp|^2 below this are dropped as numerically dead
@@ -24,10 +23,10 @@ class ModeMismatchError(ValueError):
 
 
 class TruncationError(ValueError):
-    """An occupation number exceeded the configured n_max.
+    """An occupation exceeded the bound given when a state was constructed.
 
-    Overflow is a hard error rather than silent truncation so that a unitarity
-    violation can never pass unnoticed.
+    Linear optics conserves photon number, so evolved states need no bound;
+    one given explicitly is a hard error rather than silent truncation.
     """
 
 
@@ -86,14 +85,15 @@ def as_channels(items: Iterable[ChannelLike]) -> tuple[Channel, ...]:
 class FockState:
     """Pure multimode state as a sparse occupation-vector -> amplitude map."""
 
-    __slots__ = ("channels", "amplitudes", "n_max")
+    __slots__ = ("channels", "amplitudes")
 
     def __init__(
         self,
         channels: Iterable[ChannelLike],
         amplitudes: Mapping[Sequence[int], complex],
-        n_max: int = DEFAULT_N_MAX,
+        n_max: int | None = None,
     ):
+        """`n_max`, if given, bounds every occupation, checked here only."""
         chans = as_channels(channels)
         amps: dict[tuple[int, ...], complex] = {}
         for occ, a in amplitudes.items():
@@ -104,14 +104,16 @@ class FockState:
                 )
             if any(n < 0 for n in occ):
                 raise ValueError(f"negative occupation in {occ}")
-            if any(n > n_max for n in occ):
+            if n_max is not None and any(n > n_max for n in occ):
                 raise TruncationError(f"occupation {occ} exceeds n_max={n_max}")
             a = complex(a)
-            if abs(a) ** 2 > _PRUNE_TOL:
+            mag = abs(a) ** 2
+            if _PRUNE_TOL < mag < math.inf:
                 amps[occ] = amps.get(occ, 0.0 + 0.0j) + a
+            elif not mag <= _PRUNE_TOL:  # NaN or infinite
+                raise ValueError(f"non-finite amplitude {a} at {occ}")
         object.__setattr__(self, "channels", chans)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "n_max", int(n_max))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FockState is immutable")
@@ -119,18 +121,15 @@ class FockState:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def vacuum(cls, channels: Iterable[ChannelLike], n_max: int = DEFAULT_N_MAX) -> "FockState":
+    def vacuum(cls, channels: Iterable[ChannelLike]) -> "FockState":
         chans = as_channels(channels)
-        return cls(chans, {(0,) * len(chans): 1.0}, n_max)
+        return cls(chans, {(0,) * len(chans): 1.0})
 
     @classmethod
     def basis(
-        cls,
-        channels: Iterable[ChannelLike],
-        occupation: Sequence[int],
-        n_max: int = DEFAULT_N_MAX,
+        cls, channels: Iterable[ChannelLike], occupation: Sequence[int]
     ) -> "FockState":
-        return cls(channels, {tuple(occupation): 1.0}, n_max)
+        return cls(channels, {tuple(occupation): 1.0})
 
     # -- basic queries -----------------------------------------------------
 
@@ -157,9 +156,7 @@ class FockState:
 
     def scaled(self, factor: complex) -> "FockState":
         return FockState(
-            self.channels,
-            {occ: factor * a for occ, a in self.amplitudes.items()},
-            self.n_max,
+            self.channels, {occ: factor * a for occ, a in self.amplitudes.items()}
         )
 
     def normalized(self) -> "FockState":
@@ -171,8 +168,6 @@ class FockState:
 
 def tensor(a: FockState, b: FockState) -> FockState:
     """Tensor product; channel lists concatenate, amplitudes multiply."""
-    if a.n_max != b.n_max:
-        raise ValueError(f"n_max mismatch: {a.n_max} != {b.n_max}")
     if set(a.channels) & set(b.channels):
         raise ModeMismatchError("tensor factors share channels")
     amps = {
@@ -180,7 +175,7 @@ def tensor(a: FockState, b: FockState) -> FockState:
         for occ_a, amp_a in a.amplitudes.items()
         for occ_b, amp_b in b.amplitudes.items()
     }
-    return FockState(a.channels + b.channels, amps, a.n_max)
+    return FockState(a.channels + b.channels, amps)
 
 
 def apply_creation(state: FockState, channel: ChannelLike, power: int = 1) -> FockState:
@@ -194,15 +189,11 @@ def apply_creation(state: FockState, channel: ChannelLike, power: int = 1) -> Fo
     amps: dict[tuple[int, ...], complex] = {}
     for occ, a in state.amplitudes.items():
         n = occ[idx]
-        if n + power > state.n_max:
-            raise TruncationError(
-                f"creation overflow: {n}+{power} > n_max={state.n_max} on {chan}"
-            )
         # a†|n> = sqrt(n+1)|n+1>, iterated `power` times
         factor = math.sqrt(math.prod(range(n + 1, n + power + 1)))
         new = occ[:idx] + (n + power,) + occ[idx + 1 :]
         amps[new] = amps.get(new, 0.0 + 0.0j) + factor * a
-    return FockState(state.channels, amps, state.n_max)
+    return FockState(state.channels, amps)
 
 
 def inner_product(a: FockState, b: FockState) -> complex:
@@ -313,7 +304,7 @@ def partial_trace_keep(
     out: list[tuple[float, FockState]] = []
     for weight, state in rho.branches:
         for mass, amps in group_by_pattern(state, drop_idx, keep_idx).values():
-            branch = FockState(kept, amps, state.n_max).normalized()
+            branch = FockState(kept, amps).normalized()
             out.append((weight * mass, branch))
     return MixedState(tuple(out))
 

@@ -20,7 +20,6 @@ from .fock import (
     FockState,
     Mode,
     ModeMismatchError,
-    TruncationError,
     as_channels,
 )
 
@@ -190,7 +189,6 @@ def apply(t: ModeTransform, state: FockState) -> FockState:
     full = t.embedded(state.channels)
     mat = full.matrix
     n_ch = len(state.channels)
-    n_max = state.n_max
     zero = (0,) * n_ch
 
     out: dict[tuple[int, ...], complex] = {}
@@ -207,17 +205,13 @@ def apply(t: ModeTransform, state: FockState) -> FockState:
                         cij = column[dst]
                         if cij == 0.0:
                             continue
-                        if mon[dst] + 1 > n_max:
-                            raise TruncationError(
-                                f"apply overflow on {state.channels[dst]}: n_max={n_max}"
-                            )
                         new = mon[:dst] + (mon[dst] + 1,) + mon[dst + 1 :]
                         new_poly[new] = new_poly.get(new, 0.0 + 0.0j) + c0 * cij
                 poly = new_poly
         for mon, c0 in poly.items():
             ket_amp = c0 * math.sqrt(math.prod(math.factorial(n) for n in mon))
             out[mon] = out.get(mon, 0.0 + 0.0j) + ket_amp
-    return FockState(state.channels, out, n_max)
+    return FockState(state.channels, out)
 
 
 def kerr_gate(
@@ -234,4 +228,4 @@ def kerr_gate(
         occ: amp * complex(np.exp(-1j * spec.tau * occ[ia] * occ[ib]))
         for occ, amp in state.amplitudes.items()
     }
-    return FockState(state.channels, amps, state.n_max)
+    return FockState(state.channels, amps)

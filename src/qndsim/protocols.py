@@ -222,9 +222,7 @@ def number_device_transform(transmission: float = 0.5) -> ModeTransform:
     return net.embedded((_A, _B, _C, _D))
 
 
-def number_device(
-    input: NumberInputSpec, transmission: float = 0.5, n_max: int = 4
-) -> EvolvedDevice:
+def number_device(input: NumberInputSpec, transmission: float = 0.5) -> EvolvedDevice:
     """The four-mode interferometer evolved on `input`, ready for any detector.
 
     The signal enters mode a, probes |1,1> enter c and d, b is vacuum.  Success
@@ -239,21 +237,18 @@ def number_device(
         (1, 0, 1, 1): input.c1,
         (2, 0, 1, 1): input.c2,
     }
-    state = FockState(channels, amps, n_max)
+    state = FockState(channels, amps)
     state = apply(number_device_transform(transmission), state)
-    target = FockState.basis((_B,), (1,), n_max)
+    target = FockState.basis((_B,), (1,))
     return EvolvedDevice(pattern_table(state, (_A, _C, _D)), (0, 1, 1), target)
 
 
 def number_qnd(
-    input: NumberInputSpec,
-    transmission: float = 0.5,
-    det: DetectorModel = IDEAL,
-    n_max: int = 4,
+    input: NumberInputSpec, transmission: float = 0.5, det: DetectorModel = IDEAL
 ) -> ProtocolOutcome:
     """Heralded single-photon detection in the four-mode interferometer
     (see `number_device`)."""
-    return number_device(input, transmission, n_max).outcome(det)
+    return number_device(input, transmission).outcome(det)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +299,7 @@ def _pol_input_amplitudes(
     }
 
 
-def pol_device(
-    input: NumberInputSpec, theta: PolarizationAngle, n_max: int = 6
-) -> EvolvedDevice:
+def pol_device(input: NumberInputSpec, theta: PolarizationAngle) -> EvolvedDevice:
     """The polarization-preserving device evolved on `input`, ready for any
     detector.
 
@@ -319,22 +312,19 @@ def pol_device(
     amps = {
         (ka_h, ka_v, 1, 1, 1, 1): amp for (ka_h, ka_v), amp in sig_amps.items()
     }
-    state = FockState(_POL_CHANNELS, amps, n_max)
+    state = FockState(_POL_CHANNELS, amps)
     state = apply(pol_device_transform(), state)
-    target = FockState((_P_AH, _P_AV), {(1, 0): theta.alpha, (0, 1): theta.beta}, n_max)
+    target = FockState((_P_AH, _P_AV), {(1, 0): theta.alpha, (0, 1): theta.beta})
     table = pattern_table(state, (_P_CV, _P_DH, _P_EV, _P_FH))
     return EvolvedDevice(table, (1, 1, 1, 1), target)
 
 
 def pol_qnd(
-    input: NumberInputSpec,
-    theta: PolarizationAngle,
-    det: DetectorModel = IDEAL,
-    n_max: int = 6,
+    input: NumberInputSpec, theta: PolarizationAngle, det: DetectorModel = IDEAL
 ) -> ProtocolOutcome:
     """Polarization-preserving heralded single-photon detection (see
     `pol_device`)."""
-    return pol_device(input, theta, n_max).outcome(det)
+    return pol_device(input, theta).outcome(det)
 
 
 def pol_fidelity_approx(gamma: float, eta: float) -> float:
@@ -379,7 +369,7 @@ _BELL_PATTERNS: tuple[tuple[tuple[int, int, int, int], bool], ...] = (
 )
 
 
-def pdc_state(src: PdcSourceSpec, modes: tuple[Mode, Mode], n_max: int = 4) -> FockState:
+def pdc_state(src: PdcSourceSpec, modes: tuple[Mode, Mode]) -> FockState:
     """Truncated pair-source state on two polarized modes, renormalized:
     (1 - eps^2)|vac> + eps (|H,V> - |V,H>)/sqrt2, higher orders dropped.
     """
@@ -394,7 +384,7 @@ def pdc_state(src: PdcSourceSpec, modes: tuple[Mode, Mode], n_max: int = 4) -> F
         (1, 0, 0, 1): eps / math.sqrt(2.0),
         (0, 1, 1, 0): -eps / math.sqrt(2.0),
     }
-    return FockState(chans, amps, n_max).normalized()
+    return FockState(chans, amps).normalized()
 
 
 def _sigma_z(state: FockState, v_channel: Channel) -> FockState:
@@ -402,17 +392,16 @@ def _sigma_z(state: FockState, v_channel: Channel) -> FockState:
     amps = {
         occ: (-amp if occ[idx] % 2 else amp) for occ, amp in state.amplitudes.items()
     }
-    return FockState(state.channels, amps, state.n_max)
+    return FockState(state.channels, amps)
 
 
 def _teleport(
     input_amps: dict[tuple[int, int], complex],
     src: PdcSourceSpec,
     target_amps: dict[tuple[int, int], complex],
-    n_max: int = 4,
 ) -> ProtocolOutcome:
-    signal = FockState(_TS.channels, input_amps, n_max)
-    state = tensor(signal, pdc_state(src, (_TP1, _TP2), n_max))
+    signal = FockState(_TS.channels, input_amps)
+    state = tensor(signal, pdc_state(src, (_TP1, _TP2)))
     bs = beam_splitter(BeamSplitterSpec(0.5), _TS, _TP1)
     state = apply(bs, state)
     table = pattern_table(state, (_TS_H, _TS_V, _TP1_H, _TP1_V))
@@ -426,7 +415,7 @@ def _teleport(
         for w, st in out.branches:
             branches.append((w, _sigma_z(st, _TP2_V) if correct else st))
     out = MixedState(tuple(branches))
-    target = FockState(_TP2.channels, target_amps, n_max)
+    target = FockState(_TP2.channels, target_amps)
     return _outcome(total, out, target)
 
 
@@ -467,10 +456,7 @@ _K_S = Channel("signal")
 
 
 def kerr_qnd(
-    input: NumberInputSpec,
-    tau: float = math.pi,
-    det: DetectorModel = IDEAL,
-    n_max: int = 4,
+    input: NumberInputSpec, tau: float = math.pi, det: DetectorModel = IDEAL
 ) -> ProtocolOutcome:
     """Mach-Zehnder probe with a cross-phase coupling to the signal mode.
 
@@ -486,7 +472,7 @@ def kerr_qnd(
         (1, 0, 1): input.c1,
         (1, 0, 2): input.c2,
     }
-    state = FockState(channels, amps, n_max)
+    state = FockState(channels, amps)
     half = BeamSplitterSpec(0.5)
     state = apply(beam_splitter(half, _K_P, _K_W), state)
     state = kerr_gate(KerrGateSpec(tau), _K_W, _K_S, state)
@@ -494,7 +480,7 @@ def kerr_qnd(
     # constructive arm (D1) is `arm`, the pi-shifted port (D2) is `probe`
     sig = DetectorSignature.of({_K_P: 1, _K_W: 0}, det)
     prob, out = condition(state, sig)
-    target = FockState.basis((_K_S,), (1,), n_max)
+    target = FockState.basis((_K_S,), (1,))
     return _outcome(prob, out, target)
 
 

@@ -176,9 +176,12 @@ class TestRun:
     def test_unknown_protocol_usage_error(self):
         assert invoke("run", "warp").exit_code == 2
 
-    def test_runtime_error_exit_one(self):
+    def test_transmission_out_of_range_usage_error(self):
         res = invoke("run", "number", "--input", "0,1,0", "-T", "1.0")
-        assert res.exit_code == 1
+        assert res.exit_code == 2
+
+    def test_nan_epsilon_usage_error(self):
+        assert invoke("run", "teleport-number", "--epsilon", "nan").exit_code == 2
 
     def test_nan_gamma_usage_error(self):
         assert invoke("run", "number", "--gamma", "nan").exit_code == 2
@@ -210,6 +213,19 @@ class TestCircuit:
         assert res.exit_code == 0
         assert "|0,1,0,1> 0.5+0i" in res.output
         assert "|1,0,1,0> -0.5+0i" in res.output
+
+    def test_fourteen_photon_input(self):
+        res = invoke("circuit", str(DATA / "four_mode_interferometer.qc"),
+                     "--amp", "0,0,7,7=1")
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        kets = lines[lines.index("output") + 1:]
+        norm = 0.0
+        for line in kets:
+            occ, amp = line.split()
+            assert sum(map(int, occ.strip("|>").split(","))) == 14
+            norm += abs(complex(amp.replace("i", "j"))) ** 2
+        assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.qc"

@@ -186,6 +186,14 @@ class TestPatternTable:
         _, again = reweight(table, sig)
         assert again.branches[0][1] is first.branches[0][1]
 
+    def test_reading_above_every_occupation_has_zero_probability(self):
+        table = pattern_table(heralded_state(), (A, C, D))
+        assert table.top < 5
+        for det in (IDEAL, DetectorModel(0.7)):
+            prob, out = reweight(table, DetectorSignature.of({A: 0, C: 5, D: 1}, det))
+            assert prob == 0.0
+            assert out.branches == ()
+
     def test_partial_trace_is_unit_povm_conditioning(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -203,12 +211,13 @@ class TestLossAncillaOracle:
 
     def lossy_via_ancilla(self, psi, channel, reading, efficiency):
         anc = Channel(f"{channel.spatial}_loss")
-        ext = tensor(psi, FockState.vacuum((anc,), psi.n_max))
+        ext = tensor(psi, FockState.vacuum((anc,)))
         bs = beam_splitter(BeamSplitterSpec(efficiency), channel, anc)
         ext = apply(bs, ext)
         total = 0.0
         branches = []
-        for lost in range(psi.n_max + 1):
+        # no more photons can be lost than the state holds
+        for lost in range(max(sum(occ) for occ in psi.amplitudes) + 1):
             sig = DetectorSignature.of({channel: reading, anc: lost})
             prob, out = condition(ext, sig)
             total += prob

@@ -54,6 +54,11 @@ class TestFockState:
         with pytest.raises(TruncationError):
             FockState((A,), {(5,): 1.0}, n_max=4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            FockState((A, B), {(1, 0): bad, (0, 1): 1.0})
+
     def test_polarized_mode_exposes_pair(self):
         m = Mode("a", polarized=True)
         assert m.channels == (Channel("a", "H"), Channel("a", "V"))
@@ -106,15 +111,15 @@ class TestLadder:
         assert out.amplitude((2,)) == pytest.approx(1.0)  # sqrt2/sqrt2
 
     def test_ladder_scaling_identity(self):
-        # <n| a a† |n> = n+1 on every level below truncation
+        # <n| a a† |n> = n+1 on every level
         for n in range(4):
-            ket = FockState.basis((A,), (n,), n_max=5)
+            ket = FockState.basis((A,), (n,))
             up = apply_creation(ket, A)
             assert up.norm_squared() == pytest.approx(n + 1)
 
-    def test_overflow(self):
-        with pytest.raises(TruncationError):
-            apply_creation(FockState.basis((A,), (4,)), A)
+    def test_creation_above_four_photons(self):
+        st = apply_creation(FockState.basis((A,), (4,)), A)
+        assert st.amplitudes == {(5,): pytest.approx(math.sqrt(5))}
 
 
 class TestInnerProduct:

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from qndsim.fock import Channel, FockState, Mode, ModeMismatchError, TruncationError
+from qndsim.fock import Channel, FockState, Mode, ModeMismatchError
 from qndsim.optics import (
     BeamSplitterSpec,
     KerrGateSpec,
@@ -209,11 +210,16 @@ class TestComposeApply:
         with pytest.raises(ModeMismatchError):
             apply(t, FockState.vacuum((C, D)))
 
-    def test_apply_overflow(self):
+    def test_apply_four_photons_on_splitter(self):
         t = beam_splitter(BeamSplitterSpec(0.5), A, B)
-        st = FockState((A, B), {(2, 2): 1.0}, n_max=2)
-        with pytest.raises(TruncationError):
-            apply(t, st)
+        out = apply(t, FockState.basis((A, B), (2, 2)))
+        assert {sum(occ) for occ in out.amplitudes} == {4}
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        # |2,2> -> sqrt(3/8) (|4,0> + |0,4>) - 1/2 |2,2>, no odd splits
+        assert abs(out.amplitude((4, 0))) ** 2 == pytest.approx(3 / 8, abs=1e-12)
+        assert abs(out.amplitude((0, 4))) ** 2 == pytest.approx(3 / 8, abs=1e-12)
+        assert abs(out.amplitude((2, 2))) ** 2 == pytest.approx(1 / 4, abs=1e-12)
+        assert abs(out.amplitude((3, 1))) < 1e-12
 
 
 class TestTwoPhotonInterference:
@@ -284,3 +290,59 @@ class TestProperties:
             before = {sum(occ) for occ in psi.amplitudes}
             after = {sum(occ) for occ in apply(t, psi).amplitudes}
             assert after <= before
+
+
+def ryser_permanent(m: np.ndarray) -> complex:
+    """Perm(m) = sum over column subsets S of (-1)^(n-|S|) prod_i sum_{j in S} m[i, j]."""
+    n = m.shape[0]
+    subsets = np.array(list(itertools.product((0, 1), repeat=n)))
+    signs = (-1.0) ** (n - subsets.sum(axis=1))
+    return complex(np.sum(signs * np.prod(subsets @ m.T, axis=1)))
+
+
+def compositions(total: int, parts: int):
+    """Every occupation vector of `total` photons on `parts` channels."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts))
+
+
+def transfer_amplitude(u: np.ndarray, out_occ, in_occ) -> complex:
+    """<m|U|n> = Perm(U[m, n]) / sqrt(prod m! prod n!), with U[i, j] the image
+    of channel j's creation operator on channel i."""
+    rows = np.repeat(np.arange(len(out_occ)), out_occ)
+    cols = np.repeat(np.arange(len(in_occ)), in_occ)
+    norm = math.prod(math.factorial(k) for k in (*out_occ, *in_occ))
+    return ryser_permanent(u[np.ix_(rows, cols)]) / math.sqrt(norm)
+
+
+class TestPermanentOracle:
+    """`apply` against the permanent formula for random unitaries, on every
+    output occupation, including occupations above four photons per channel."""
+
+    CASES = [
+        {(3, 3): 1.0},
+        {(4, 0, 1): 0.6, (0, 2, 0): 0.8j},
+        {(2, 2, 1, 1): 1.0, (0, 0, 0, 1): 0.5},
+        {(5, 0, 0, 0, 0): 0.5, (1, 1, 1, 1, 1): -0.5, (0, 0, 0, 0, 3): 0.7},
+        {(6, 0, 0, 0, 0, 0): 1.0},
+        {(1, 1, 1, 1, 1, 1): 1.0},
+        {(3, 0, 2, 0, 1, 0): 0.6, (0, 4, 0, 0, 0, 2): 0.8j, (0, 0, 0, 5, 0, 0): 0.3},
+    ]
+
+    @pytest.mark.parametrize("seed, kets", enumerate(CASES))
+    def test_amplitudes_match_permanents(self, seed, kets):
+        n_ch = len(next(iter(kets)))
+        channels = tuple(Channel(f"m{i}") for i in range(n_ch))
+        u = unitary_group.rvs(n_ch, random_state=seed)
+        out = apply(matrix_transform(channels, u), FockState(channels, kets))
+        photon_numbers = {sum(occ) for occ in kets}
+        outputs = [m for n in sorted(photon_numbers) for m in compositions(n, n_ch)]
+        assert set(out.amplitudes) <= set(outputs)
+        for m in outputs:
+            expected = sum(
+                a * transfer_amplitude(u, m, occ)
+                for occ, a in kets.items()
+                if sum(occ) == sum(m)
+            )
+            assert abs(out.amplitude(m) - expected) < 1e-12, m
