@@ -40,11 +40,12 @@ class CircuitSyntaxError(ValueError):
         self.line_no = line_no
 
 
-def _parse_complex(tok: str, line_no: int) -> complex:
+def parse_complex(tok: str) -> complex:
+    """Read a complex literal such as `0.5-0.5i`; raises ValueError if malformed."""
     try:
-        return complex(tok.replace("i", "j"))
+        return complex(tok.strip().replace("i", "j"))
     except ValueError:
-        raise CircuitSyntaxError(line_no, f"bad complex literal {tok!r}") from None
+        raise ValueError(f"bad complex literal {tok!r}") from None
 
 
 def _kwarg(tok: str, key: str, line_no: int) -> float:
@@ -135,7 +136,7 @@ def parse_circuit(text: str) -> ModeTransform:
                         line_no, f"matrix size {k} exceeds {len(declared)} declared channels"
                     )
                 mat = np.array(
-                    [_parse_complex(tok, line_no) for tok in entries], dtype=complex
+                    [parse_complex(tok) for tok in entries], dtype=complex
                 ).reshape(k, k)
                 transforms.append((line_no, matrix_transform(declared[:k], mat)))
             else:

@@ -14,7 +14,7 @@ import sys
 import click
 
 from . import protocols
-from .circuits import CircuitSyntaxError, parse_circuit
+from .circuits import CircuitSyntaxError, parse_circuit, parse_complex
 from .detection import DetectorModel, closed_form_fidelity
 from .fock import FockState
 from .optics import KerrGateSpec, apply as apply_transform
@@ -34,13 +34,6 @@ def _fmt_complex(z: complex) -> str:
     re, im = _fmt(z.real), _fmt(z.imag)
     sign = "+" if z.imag >= 0 else "-"
     return f"{re}{sign}{_fmt(abs(z.imag))}i"
-
-
-def _parse_complex(tok: str) -> complex:
-    try:
-        return complex(tok.strip().replace("i", "j"))
-    except ValueError:
-        raise click.UsageError(f"bad complex literal {tok!r}") from None
 
 
 def _spec(make, *args):
@@ -81,7 +74,7 @@ def _parse_input(text: str | None, gamma: float | None) -> NumberInputSpec:
         parts = text.split(",")
         if len(parts) != 3:
             raise click.UsageError("--input needs three comma-separated amplitudes")
-        c0, c1, c2 = (_parse_complex(p) for p in parts)
+        c0, c1, c2 = (_spec(parse_complex, p) for p in parts)
         norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2)
         if norm == 0.0:
             raise click.UsageError("--input amplitudes are all zero")
@@ -265,10 +258,11 @@ def circuit(path, amps):
                 occ = tuple(int(n) for n in occ_text.split(","))
             except ValueError:
                 raise click.UsageError(f"bad occupation in {item!r}") from None
-            state_amps[occ] = state_amps.get(occ, 0j) + _parse_complex(amp_text)
+            state_amps[occ] = state_amps.get(occ, 0j) + _spec(parse_complex, amp_text)
+        state = _spec(FockState, transform.channels, state_amps)
+        state = _spec(state.normalized)
         try:
-            state = FockState(transform.channels, state_amps)
-            result = apply_transform(transform, state.normalized())
+            result = apply_transform(transform, state)
         except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)

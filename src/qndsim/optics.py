@@ -83,6 +83,8 @@ class ModeTransform:
     def embedded(self, channels: Iterable[ChannelLike]) -> "ModeTransform":
         """Pad with identity onto a larger channel tuple."""
         chans = as_channels(channels)
+        if chans == self.channels:
+            return self  # immutable and validated when built
         for c in self.channels:
             if c not in chans:
                 raise ModeMismatchError(f"cannot embed: {c} missing from target")
@@ -182,35 +184,45 @@ def compose(t1: ModeTransform, t2: ModeTransform) -> ModeTransform:
 
 
 def apply(t: ModeTransform, state: FockState) -> FockState:
-    """Apply the transform to a state by creation-operator substitution."""
+    """Apply the transform to a state by creation-operator substitution.
+
+    A monomial prod_i (a_i^dagger)^m_i is coded as the integer sum_i m_i B^i,
+    with B one more than the largest photon number among the input kets.
+    Photon number is conserved, so no digit reaches B and a_i^dagger adds B^i.
+    """
     for c in t.channels:
         if c not in state.channels:
             raise ModeMismatchError(f"transform channel {c} not in state")
     full = t.embedded(state.channels)
-    mat = full.matrix
-    n_ch = len(state.channels)
-    zero = (0,) * n_ch
+    base = max((sum(occ) for occ in state.amplitudes), default=0) + 1
+    strides = [base**i for i in range(len(state.channels))]
+    # column j of the matrix, as (stride of channel i, U[i, j]) for U[i, j] != 0
+    columns = [
+        [(s, cij) for s, cij in zip(strides, col) if cij != 0]
+        for col in full.matrix.T.tolist()
+    ]
 
     out: dict[tuple[int, ...], complex] = {}
+    # output code -> (occupation tuple, sqrt(prod m!)), decoded once per call
+    decoded: dict[int, tuple[tuple[int, ...], float]] = {}
     for occ, amp in state.amplitudes.items():
         # start from amp / sqrt(prod occ!) and multiply one linear form per photon
-        coeff = amp / math.sqrt(math.prod(math.factorial(n) for n in occ))
-        poly: dict[tuple[int, ...], complex] = {zero: coeff}
-        for src in range(n_ch):
-            column = mat[:, src]
-            for _ in range(occ[src]):
-                new_poly: dict[tuple[int, ...], complex] = {}
+        poly = {0: amp / math.sqrt(math.prod(math.factorial(n) for n in occ))}
+        for n, column in zip(occ, columns):
+            for _ in range(n):
+                new_poly: dict[int, complex] = {}
+                get = new_poly.get
                 for mon, c0 in poly.items():
-                    for dst in range(n_ch):
-                        cij = column[dst]
-                        if cij == 0.0:
-                            continue
-                        new = mon[:dst] + (mon[dst] + 1,) + mon[dst + 1 :]
-                        new_poly[new] = new_poly.get(new, 0.0 + 0.0j) + c0 * cij
+                    for stride, cij in column:
+                        new = mon + stride
+                        new_poly[new] = get(new, 0j) + c0 * cij
                 poly = new_poly
         for mon, c0 in poly.items():
-            ket_amp = c0 * math.sqrt(math.prod(math.factorial(n) for n in mon))
-            out[mon] = out.get(mon, 0.0 + 0.0j) + ket_amp
+            if mon not in decoded:
+                digits = tuple(mon // s % base for s in strides)
+                decoded[mon] = digits, math.sqrt(math.prod(math.factorial(m) for m in digits))
+            occ_m, scale = decoded[mon]
+            out[occ_m] = out.get(occ_m, 0j) + c0 * scale
     return FockState(state.channels, out)
 
 

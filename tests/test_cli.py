@@ -237,6 +237,37 @@ class TestCircuit:
     def test_missing_file_usage_error(self):
         assert invoke("circuit", "/nonexistent.qc").exit_code == 2
 
+    @pytest.mark.parametrize("amp", ["0,0,1=1", "0,0,1,-1=1", "0,0,1,1=nan",
+                                     "0,0,1,1=0", "0,0,1,1=zz"])
+    def test_malformed_amp_usage_error(self, amp):
+        res = invoke("circuit", str(DATA / "four_mode_interferometer.qc"), "--amp", amp)
+        assert res.exit_code == 2
+        assert "output" not in res.output
+
+
+_INPUT = ("--eta2", "0.88", "--input", "0.4,0.7,0.3-0.5i")
+_FOUR = str(DATA / "four_mode_interferometer.qc")
+_SIX = str(DATA / "six_channel_pol_device.qc")
+GOLDEN_STDOUT = {
+    "circuit_four_mode_0077": ("circuit", _FOUR, "--amp", "0,0,7,7=1"),
+    "circuit_four_mode_superposition": ("circuit", _FOUR, "--amp", "1,0,1,0=1",
+                                        "--amp", "0,1,0,2=0.5-0.5i"),
+    "circuit_six_channel_six_photons": ("circuit", _SIX, "--amp", "2,0,1,1,0,2=1"),
+    "run_number": ("run", "number", *_INPUT),
+    "run_pol": ("run", "pol", *_INPUT),
+    "run_teleport_number": ("run", "teleport-number", *_INPUT),
+    "run_teleport_pol": ("run", "teleport-pol", *_INPUT),
+    "run_kerr": ("run", "kerr", *_INPUT),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_STDOUT))
+def test_stdout_matches_golden(name):
+    """Every digit, branch order and zero sign, as recorded in tests/data/<name>.out."""
+    res = invoke(*GOLDEN_STDOUT[name])
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (DATA / f"{name}.out").read_bytes()
+
 
 class TestCalculatorCommands:
     def test_kerr_tau(self):

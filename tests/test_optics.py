@@ -205,6 +205,13 @@ class TestComposeApply:
         with pytest.raises(NonUnitaryError):
             matrix_transform((A, B), np.array([[1, 0], [1, 1]]))
 
+    def test_embedded_onto_own_channels_is_self(self):
+        t = beam_splitter(BeamSplitterSpec(0.4), A, B)
+        assert t.embedded((A, B)) is t
+        swapped = t.embedded((B, A))
+        assert swapped.channels == (B, A)
+        assert np.array_equal(swapped.matrix, t.matrix[::-1, ::-1])
+
     def test_apply_needs_known_channels(self):
         t = beam_splitter(BeamSplitterSpec(0.5), A, B)
         with pytest.raises(ModeMismatchError):
@@ -328,6 +335,7 @@ class TestPermanentOracle:
         {(6, 0, 0, 0, 0, 0): 1.0},
         {(1, 1, 1, 1, 1, 1): 1.0},
         {(3, 0, 2, 0, 1, 0): 0.6, (0, 4, 0, 0, 0, 2): 0.8j, (0, 0, 0, 5, 0, 0): 0.3},
+        {(0, 0, 0): 0.6, (2, 0, 1): 0.8},
     ]
 
     @pytest.mark.parametrize("seed, kets", enumerate(CASES))
@@ -346,3 +354,53 @@ class TestPermanentOracle:
                 if sum(occ) == sum(m)
             )
             assert abs(out.amplitude(m) - expected) < 1e-12, m
+
+
+def tuple_kernel(t: ModeTransform, state: FockState) -> dict:
+    """Reference expansion over tuple monomials and numpy matrix entries, the
+    float operations `apply` must reproduce bit for bit."""
+    mat = t.embedded(state.channels).matrix
+    n_ch = len(state.channels)
+    out = {}
+    for occ, amp in state.amplitudes.items():
+        poly = {(0,) * n_ch: amp / math.sqrt(math.prod(math.factorial(n) for n in occ))}
+        for src in range(n_ch):
+            for _ in range(occ[src]):
+                new_poly = {}
+                for mon, c0 in poly.items():
+                    for dst in range(n_ch):
+                        cij = mat[dst, src]
+                        if cij == 0.0:
+                            continue
+                        new = mon[:dst] + (mon[dst] + 1,) + mon[dst + 1:]
+                        new_poly[new] = new_poly.get(new, 0j) + c0 * cij
+                poly = new_poly
+        for mon, c0 in poly.items():
+            ket_amp = c0 * math.sqrt(math.prod(math.factorial(n) for n in mon))
+            out[mon] = out.get(mon, 0j) + ket_amp
+    return FockState(state.channels, out).amplitudes
+
+
+def exact_items(amps: dict) -> list:
+    """Keys in order, with both float parts as exact bits."""
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in amps.items()]
+
+
+X = Mode("x", polarized=True)
+
+
+class TestReferenceKernel:
+    @pytest.mark.parametrize("seed, make, channels, top", [
+        (0, lambda rng: number_device_transform(0.5), (A, B, C, D), 4),
+        (1, lambda rng: number_device_transform(0.3), (A, B, C, D), 3),
+        (2, lambda rng: pol_device_transform(), pol_device_transform().channels, 3),
+        (3, lambda rng: matrix_transform((A, B, C, D), unitary_group.rvs(4, random_state=rng)),
+         (A, B, C, D), 4),
+        (4, lambda rng: beam_splitter(BeamSplitterSpec(0.7, flip=True), C, A), (A, B, C, D), 4),
+        (5, lambda rng: phase_shifter(0.9, X), (*X.channels, A), 5),
+    ], ids=["number", "number-T0.3", "pol", "haar", "embedded-bs", "pol-phase"])
+    def test_apply_is_bit_identical(self, seed, make, channels, top):
+        rng = np.random.default_rng(seed)
+        t = make(rng)
+        state = random_state(rng, channels, top, top)
+        assert exact_items(apply(t, state).amplitudes) == exact_items(tuple_kernel(t, state))
