@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 NORM_TOL = 1e-12
 
@@ -95,16 +96,17 @@ class FockState:
     ):
         """`n_max`, if given, bounds every occupation, checked here only."""
         chans = as_channels(channels)
+        width = len(chans)
         amps: dict[tuple[int, ...], complex] = {}
         for occ, a in amplitudes.items():
-            occ = tuple(int(n) for n in occ)
-            if len(occ) != len(chans):
+            occ = tuple(map(int, occ))
+            if len(occ) != width:
                 raise ModeMismatchError(
-                    f"occupation {occ} has {len(occ)} entries for {len(chans)} channels"
+                    f"occupation {occ} has {len(occ)} entries for {width} channels"
                 )
-            if any(n < 0 for n in occ):
+            if width and min(occ) < 0:
                 raise ValueError(f"negative occupation in {occ}")
-            if n_max is not None and any(n > n_max for n in occ):
+            if n_max is not None and width and max(occ) > n_max:
                 raise TruncationError(f"occupation {occ} exceeds n_max={n_max}")
             a = complex(a)
             mag = abs(a) ** 2
@@ -258,6 +260,14 @@ def _as_mixed(rho: MixedState | FockState) -> MixedState:
     return rho
 
 
+def _picker(idx: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Function taking an occupation tuple to its entries at `idx`, as a tuple."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda occ: (occ[i],)
+    return itemgetter(*idx) if idx else lambda occ: ()
+
+
 def group_by_pattern(
     state: FockState, pattern_idx: Sequence[int], kept_idx: Sequence[int]
 ) -> dict[tuple[int, ...], tuple[float, dict[tuple[int, ...], complex]]]:
@@ -267,10 +277,11 @@ def group_by_pattern(
     the `kept_idx` channels); patterns of numerically dead mass are dropped.
     A partial trace and a Fock-diagonal measurement both reduce to this.
     """
+    pattern_of, kept_of = _picker(pattern_idx), _picker(kept_idx)
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for occ, a in state.amplitudes.items():
-        pattern = tuple(occ[i] for i in pattern_idx)
-        kept_occ = tuple(occ[i] for i in kept_idx)
+        pattern = pattern_of(occ)
+        kept_occ = kept_of(occ)
         bucket = groups.setdefault(pattern, {})
         bucket[kept_occ] = bucket.get(kept_occ, 0.0 + 0.0j) + a
     table = {}

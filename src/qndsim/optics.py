@@ -188,7 +188,8 @@ def apply(t: ModeTransform, state: FockState) -> FockState:
 
     A monomial prod_i (a_i^dagger)^m_i is coded as the integer sum_i m_i B^i,
     with B one more than the largest photon number among the input kets.
-    Photon number is conserved, so no digit reaches B and a_i^dagger adds B^i.
+    Photon number is conserved, so no digit reaches B and a_i^dagger adds B^i,
+    and output codes are decoded to occupation tuples only at the end.
     """
     for c in t.channels:
         if c not in state.channels:
@@ -202,12 +203,12 @@ def apply(t: ModeTransform, state: FockState) -> FockState:
         for col in full.matrix.T.tolist()
     ]
 
-    out: dict[tuple[int, ...], complex] = {}
-    # output code -> (occupation tuple, sqrt(prod m!)), decoded once per call
-    decoded: dict[int, tuple[tuple[int, ...], float]] = {}
+    factorial = [math.factorial(n) for n in range(base)]
+    acc: dict[int, complex] = {}  # output code -> amplitude
+    scales: dict[int, float] = {}  # output code -> sqrt(prod m!), once per code
     for occ, amp in state.amplitudes.items():
         # start from amp / sqrt(prod occ!) and multiply one linear form per photon
-        poly = {0: amp / math.sqrt(math.prod(math.factorial(n) for n in occ))}
+        poly = {0: amp / math.sqrt(math.prod(map(factorial.__getitem__, occ)))}
         for n, column in zip(occ, columns):
             for _ in range(n):
                 new_poly: dict[int, complex] = {}
@@ -217,12 +218,23 @@ def apply(t: ModeTransform, state: FockState) -> FockState:
                         new = mon + stride
                         new_poly[new] = get(new, 0j) + c0 * cij
                 poly = new_poly
+        get = acc.get
         for mon, c0 in poly.items():
-            if mon not in decoded:
-                digits = tuple(mon // s % base for s in strides)
-                decoded[mon] = digits, math.sqrt(math.prod(math.factorial(m) for m in digits))
-            occ_m, scale = decoded[mon]
-            out[occ_m] = out.get(occ_m, 0j) + c0 * scale
+            scale = scales.get(mon)
+            if scale is None:
+                code, prod = mon, 1
+                for _ in strides:
+                    code, m = divmod(code, base)
+                    prod *= factorial[m]
+                scale = scales[mon] = math.sqrt(prod)
+            acc[mon] = get(mon, 0j) + c0 * scale
+    out: dict[tuple[int, ...], complex] = {}
+    for mon, amp in acc.items():
+        digits = []
+        for _ in strides:
+            mon, m = divmod(mon, base)
+            digits.append(m)
+        out[tuple(digits)] = amp
     return FockState(state.channels, out)
 
 

@@ -16,7 +16,7 @@ from qndsim.fock import (
     tensor,
 )
 
-A, B = Channel("a"), Channel("b")
+A, B, C = Channel("a"), Channel("b"), Channel("c")
 
 
 def random_state(rng, channels, n_max, total_max):
@@ -53,6 +53,20 @@ class TestFockState:
     def test_overflow_is_hard_error(self):
         with pytest.raises(TruncationError):
             FockState((A,), {(5,): 1.0}, n_max=4)
+
+    @pytest.mark.parametrize(
+        "occ, error",
+        [((1,), ModeMismatchError), ((1, 0, 0), ModeMismatchError), ((0, -1), ValueError)],
+    )
+    def test_malformed_occupation_rejected(self, occ, error):
+        with pytest.raises(error):
+            FockState((A, B), {occ: 1.0})
+
+    def test_occupations_become_int_tuples(self):
+        st = FockState((A, B), {(np.int64(1), np.int64(0)): 1.0, (np.int64(0), True): 1.0})
+        assert list(st.amplitudes) == [(1, 0), (0, 1)]
+        assert all(type(n) is int for occ in st.amplitudes for n in occ)
+        assert FockState((), {(): 2.0}).amplitudes == {(): 2.0}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_amplitude_rejected(self, bad):
@@ -179,6 +193,17 @@ class TestPartialTrace:
                 w * abs(inner_product(psi, st)) ** 2 for w, st in rho.branches
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_keep_all_one_or_two_of_three_channels(self):
+        psi = FockState((A, B, C), {(1, 0, 2): 0.6, (0, 1, 2): 0.8})
+        (w, st), = partial_trace_keep(psi, (A, B, C)).branches
+        assert w == pytest.approx(1.0)
+        assert st.amplitudes == psi.amplitudes
+        rho = partial_trace_keep(psi, (C,))
+        assert [w for w, _ in rho.branches] == pytest.approx([0.36, 0.64])
+        assert [st.amplitudes for _, st in rho.branches] == [{(2,): 1.0}] * 2
+        (w, st), = partial_trace_keep(psi, (A, B)).branches
+        assert st.amplitudes == {(1, 0): 0.6, (0, 1): 0.8}
 
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
