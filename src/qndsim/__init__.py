@@ -31,8 +31,6 @@ from .circuits import CircuitSyntaxError, parse_circuit
 from .detection import (
     IDEAL,
     DetectorModel,
-    DetectorSignature,
-    PovmElement,
     closed_form_fidelity,
     condition,
     fidelity,

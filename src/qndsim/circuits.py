@@ -19,7 +19,6 @@ from .fock import Mode
 from .optics import (
     BeamSplitterSpec,
     ModeTransform,
-    NonUnitaryError,
     beam_splitter,
     compose,
     identity_transform,
@@ -66,7 +65,7 @@ def parse_circuit(text: str) -> ModeTransform:
             raise CircuitSyntaxError(line_no, f"unknown mode {name!r}")
         return modes[name]
 
-    transforms: list[tuple[int, ModeTransform]] = []
+    transforms: list[ModeTransform] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,29 +92,24 @@ def parse_circuit(text: str) -> ModeTransform:
                     raise CircuitSyntaxError(line_no, "transmission out of range [0, 1]")
                 spec = BeamSplitterSpec(t_val, flip=flip)
                 transforms.append(
-                    (line_no, beam_splitter(spec, get_mode(args[0], line_no), get_mode(args[1], line_no)))
+                    beam_splitter(spec, get_mode(args[0], line_no), get_mode(args[1], line_no))
                 )
             elif op == "ps":
                 if len(args) != 2:
                     raise CircuitSyntaxError(line_no, "usage: ps <m> phi=<float>")
                 phi = _kwarg(args[1], "phi", line_no)
-                transforms.append((line_no, phase_shifter(phi, get_mode(args[0], line_no))))
+                transforms.append(phase_shifter(phi, get_mode(args[0], line_no)))
             elif op == "rot":
                 if len(args) != 2:
                     raise CircuitSyntaxError(line_no, "usage: rot <m> angle=<float>")
                 angle = _kwarg(args[1], "angle", line_no)
-                transforms.append(
-                    (line_no, polarization_rotator(angle, get_mode(args[0], line_no)))
-                )
+                transforms.append(polarization_rotator(angle, get_mode(args[0], line_no)))
             elif op == "pbs":
                 if len(args) != 2:
                     raise CircuitSyntaxError(line_no, "usage: pbs <m1> <m2>")
                 transforms.append(
-                    (
-                        line_no,
-                        polarizing_beam_splitter(
-                            get_mode(args[0], line_no), get_mode(args[1], line_no)
-                        ),
+                    polarizing_beam_splitter(
+                        get_mode(args[0], line_no), get_mode(args[1], line_no)
                     )
                 )
             elif op == "matrix":
@@ -138,11 +132,9 @@ def parse_circuit(text: str) -> ModeTransform:
                 mat = np.array(
                     [parse_complex(tok) for tok in entries], dtype=complex
                 ).reshape(k, k)
-                transforms.append((line_no, matrix_transform(declared[:k], mat)))
+                transforms.append(matrix_transform(declared[:k], mat))
             else:
                 raise CircuitSyntaxError(line_no, f"unknown element {op!r}")
-        except NonUnitaryError as exc:
-            raise CircuitSyntaxError(line_no, str(exc)) from exc
         except (ValueError, TypeError) as exc:
             if isinstance(exc, CircuitSyntaxError):
                 raise
@@ -152,7 +144,7 @@ def parse_circuit(text: str) -> ModeTransform:
         raise CircuitSyntaxError(1, "no modes declared")
     all_channels = [c for m in modes.values() for c in m.channels]
     total = identity_transform(all_channels)
-    for _, t in transforms:
+    for t in transforms:
         total = compose(total, t)
     # starting from the identity on every declared channel keeps their order
     return total

@@ -245,9 +245,8 @@ def circuit(path, amps):
     except CircuitSyntaxError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    click.echo("channels " + " ".join(str(c) for c in transform.channels))
-    for row in transform.matrix:
-        click.echo(" ".join(_fmt_complex(z) for z in row))
+    # the input state is built first, so a malformed --amp prints nothing
+    state = None
     if amps:
         state_amps: dict[tuple[int, ...], complex] = {}
         for item in amps:
@@ -261,6 +260,10 @@ def circuit(path, amps):
             state_amps[occ] = state_amps.get(occ, 0j) + _spec(parse_complex, amp_text)
         state = _spec(FockState, transform.channels, state_amps)
         state = _spec(state.normalized)
+    click.echo("channels " + " ".join(str(c) for c in transform.channels))
+    for row in transform.matrix:
+        click.echo(" ".join(_fmt_complex(z) for z in row))
+    if state is not None:
         try:
             result = apply_transform(transform, state)
         except ValueError as exc:

@@ -39,21 +39,9 @@ class DetectorModel:
 IDEAL = DetectorModel(1.0)
 
 
-@dataclass(frozen=True)
-class PovmElement:
-    """Diagonal POVM element for detector reading k; coefficients indexed by n."""
-
-    reading: int
-    coefficients: tuple[float, ...]  # index n = 0 .. n_max
-
-    def coefficient(self, n: int) -> float:
-        if 0 <= n < len(self.coefficients):
-            return self.coefficients[n]
-        raise ValueError(f"photon number {n} outside tabulated range")
-
-
-def povm_element(k: int, det: DetectorModel, n_max: int) -> PovmElement:
-    """POVM element for reading k photons, tabulated for n = 0..n_max."""
+def povm_element(k: int, det: DetectorModel, n_max: int) -> tuple[float, ...]:
+    """Coefficients of the POVM element for reading k photons, indexed by the
+    photon number n = 0..n_max."""
     if k < 0:
         raise ValueError("reading must be non-negative")
     if k > n_max:
@@ -61,53 +49,16 @@ def povm_element(k: int, det: DetectorModel, n_max: int) -> PovmElement:
     e = det.efficiency
     loss = 1.0 - e
     if det.resolves_photon_number:
-        coeffs = tuple(
+        return tuple(
             math.comb(n, k) * e**k * loss ** (n - k) if n >= k else 0.0
             for n in range(n_max + 1)
         )
-    else:
-        # threshold detector: reading 0 = no click, 1 = click
-        if k == 0:
-            coeffs = tuple(loss**n for n in range(n_max + 1))
-        elif k == 1:
-            coeffs = tuple(1.0 - loss**n for n in range(n_max + 1))
-        else:
-            raise ValueError("threshold detectors only support readings 0 and 1")
-    return PovmElement(k, coeffs)
-
-
-@dataclass(frozen=True)
-class SignatureEntry:
-    channel: Channel
-    reading: int
-    detector: DetectorModel
-
-
-@dataclass(frozen=True)
-class DetectorSignature:
-    """Required reading and detector model per detected channel."""
-
-    entries: tuple[SignatureEntry, ...]
-
-    def __post_init__(self):
-        chans = [e.channel for e in self.entries]
-        if len(set(chans)) != len(chans):
-            raise ModeMismatchError("duplicate channel in detector signature")
-
-    @classmethod
-    def of(
-        cls, readings: Mapping[ChannelLike, int], det: DetectorModel = IDEAL
-    ) -> "DetectorSignature":
-        """Same detector model on every listed channel."""
-        entries = []
-        for ch, k in readings.items():
-            (chan,) = as_channels([ch])
-            entries.append(SignatureEntry(chan, int(k), det))
-        return cls(tuple(entries))
-
-    @property
-    def channels(self) -> tuple[Channel, ...]:
-        return tuple(e.channel for e in self.entries)
+    # threshold detector: reading 0 = no click, 1 = click
+    if k == 0:
+        return tuple(loss**n for n in range(n_max + 1))
+    if k == 1:
+        return tuple(1.0 - loss**n for n in range(n_max + 1))
+    raise ValueError("threshold detectors only support readings 0 and 1")
 
 
 class PatternTable:
@@ -162,22 +113,25 @@ def pattern_table(
     return PatternTable(detected, kept, patterns)
 
 
-def reweight(table: PatternTable, sig: DetectorSignature) -> tuple[float, MixedState]:
-    """Apply one signature's POVM factors to a pattern table.
+def reweight(
+    table: PatternTable, readings: tuple[int, ...], det: DetectorModel = IDEAL
+) -> tuple[float, MixedState]:
+    """Apply the POVM factors of one set of readings to a pattern table.
 
-    Returns (probability, unnormalized conditional ensemble on the kept
-    channels); the branch weights sum to the probability.  Each pattern is
-    weighted by the product of its POVM coefficients.  The signature must list
-    the table's detected channels in the table's order.
+    `readings` lists one reading per detected channel, in `table.detected`
+    order, and `det` models every detector.  Returns (probability,
+    unnormalized conditional ensemble on the kept channels); the branch
+    weights sum to the probability.  Each pattern is weighted by the product
+    of its POVM coefficients.
     """
-    if sig.channels != table.detected:
+    if len(readings) != len(table.detected):
         raise ModeMismatchError(
-            f"signature channels {sig.channels} differ from the table's {table.detected}"
+            f"{len(readings)} readings for detected channels {table.detected}"
         )
     # tabulated up to every occupation and every reading; a reading above
     # all occupations gets zero coefficients instead of an error
-    top = max((table.top, *(e.reading for e in sig.entries)))
-    coeffs = [povm_element(e.reading, e.detector, top).coefficients for e in sig.entries]
+    top = max((table.top, *readings))
+    coeffs = [povm_element(k, det, top) for k in readings]
     weights: list[float] = []
     branches: list[tuple[float, FockState]] = []
     for pattern, (mass, _) in table.patterns.items():
@@ -190,14 +144,17 @@ def reweight(table: PatternTable, sig: DetectorSignature) -> tuple[float, MixedS
     return math.fsum(weights), MixedState(tuple(branches))
 
 
-def condition(state: FockState, sig: DetectorSignature) -> tuple[float, MixedState]:
-    """Condition a pure state on a detector signature.
+def condition(
+    state: FockState, readings: Mapping[ChannelLike, int], det: DetectorModel = IDEAL
+) -> tuple[float, MixedState]:
+    """Condition a pure state on one reading per detected channel.
 
-    Returns (probability, unnormalized conditional ensemble on the kept
-    channels), exactly `reweight(pattern_table(state, sig.channels), sig)`.
+    `det` models every detector.  Returns (probability, unnormalized
+    conditional ensemble on the kept channels), exactly
+    `reweight(pattern_table(state, readings), tuple(readings.values()), det)`.
     Exact for Fock-diagonal POVMs; the detected channels are traced out.
     """
-    return reweight(pattern_table(state, sig.channels), sig)
+    return reweight(pattern_table(state, readings), tuple(readings.values()), det)
 
 
 def fidelity(rho: MixedState, target: FockState) -> float:

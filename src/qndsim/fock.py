@@ -254,12 +254,6 @@ class MixedState:
         return MixedState(tuple((w / total, st) for w, st in self.branches))
 
 
-def _as_mixed(rho: MixedState | FockState) -> MixedState:
-    if isinstance(rho, FockState):
-        return MixedState.from_pure(rho)
-    return rho
-
-
 def _picker(idx: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """Function taking an occupation tuple to its entries at `idx`, as a tuple."""
     if len(idx) == 1:
@@ -301,7 +295,8 @@ def partial_trace_keep(
     different discarded patterns is lost, which is exact for the diagonal
     measurements used throughout.
     """
-    rho = _as_mixed(rho)
+    if isinstance(rho, FockState):
+        rho = MixedState.from_pure(rho)
     kept = as_channels(keep)
     if not kept:
         raise ValueError("keep list must not be empty")

@@ -68,7 +68,7 @@ class ModeTransform:
         if mat.shape != (len(chans), len(chans)):
             raise ValueError(f"matrix shape {mat.shape} for {len(chans)} channels")
         dev = np.linalg.norm(mat.conj().T @ mat - np.eye(len(chans)))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:  # also rejects NaN
             raise NonUnitaryError(f"matrix is not unitary (deviation {dev:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "channels", chans)

@@ -25,7 +25,6 @@ import numpy as np
 from .detection import (
     IDEAL,
     DetectorModel,
-    DetectorSignature,
     PatternTable,
     condition,
     fidelity as _fidelity,
@@ -159,8 +158,8 @@ class KerrStrengthParams:
 
     def __post_init__(self):
         for name in ("omega", "delta_t", "chi3", "volume"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,7 @@ class EvolvedDevice:
     target: FockState
 
     def outcome(self, det: DetectorModel = IDEAL) -> ProtocolOutcome:
-        sig = DetectorSignature.of(dict(zip(self.table.detected, self.readings)), det)
-        prob, out = reweight(self.table, sig)
+        prob, out = reweight(self.table, self.readings, det)
         return _outcome(prob, out, self.target)
 
 
@@ -409,8 +407,7 @@ def _teleport(
     total = 0.0
     branches: list[tuple[float, FockState]] = []
     for pattern, correct in _BELL_PATTERNS:
-        readings = dict(zip(table.detected, pattern))
-        prob, out = reweight(table, DetectorSignature.of(readings, IDEAL))
+        prob, out = reweight(table, pattern)
         total += prob
         for w, st in out.branches:
             branches.append((w, _sigma_z(st, _TP2_V) if correct else st))
@@ -478,8 +475,7 @@ def kerr_qnd(
     state = kerr_gate(KerrGateSpec(tau), _K_W, _K_S, state)
     state = apply(beam_splitter(half, _K_P, _K_W), state)
     # constructive arm (D1) is `arm`, the pi-shifted port (D2) is `probe`
-    sig = DetectorSignature.of({_K_P: 1, _K_W: 0}, det)
-    prob, out = condition(state, sig)
+    prob, out = condition(state, {_K_P: 1, _K_W: 0}, det)
     target = FockState.basis((_K_S,), (1,))
     return _outcome(prob, out, target)
 

@@ -23,7 +23,6 @@ import pytest
 
 from qndsim.detection import (
     DetectorModel,
-    DetectorSignature,
     closed_form_fidelity,
     condition,
     povm_element,
@@ -185,7 +184,7 @@ def test_criterion_07_povm_completeness():
         det = DetectorModel(rng.uniform())
         for n in range(7):
             total = math.fsum(
-                povm_element(k, det, n_max=6).coefficient(n) for k in range(7)
+                povm_element(k, det, n_max=6)[n] for k in range(7)
             )
             worst = max(worst, abs(total - 1.0))
     report("7 POVM completeness", worst < 1e-12, f"max |sum-1|={worst:.2e}")
@@ -268,10 +267,7 @@ def test_criterion_10_property_suite():
         psi = random_state(rng, channels, 3, 3)
         total = 0.0
         for ka, kb in itertools.product(range(4), repeat=2):
-            sig = DetectorSignature.of(
-                {Channel("a"): ka, Channel("b"): kb}, det
-            )
-            prob, _ = condition(psi, sig)
+            prob, _ = condition(psi, {Channel("a"): ka, Channel("b"): kb}, det)
             total += prob
         assert abs(total - 1.0) < 1e-10
 

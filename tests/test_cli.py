@@ -228,11 +228,17 @@ class TestCircuit:
         assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_parse_error_exit_two(self, tmp_path):
-        bad = tmp_path / "bad.qc"
-        bad.write_text("mode a\nmode c\nbs a c T=1.5\n")
-        res = invoke("circuit", str(bad))
-        assert res.exit_code == 2
-        assert "transmission out of range" in res.output
+        cases = [
+            ("mode a\nmode c\nbs a c T=1.5\n", "transmission out of range"),
+            ("mode a\nmode b\nps a phi=nan\n", "not unitary"),
+            ("mode a\nmode b\nmatrix 2 nan 0 0 1\n", "not unitary"),
+        ]
+        for text, message in cases:
+            bad = tmp_path / "bad.qc"
+            bad.write_text(text)
+            res = invoke("circuit", str(bad))
+            assert res.exit_code == 2
+            assert message in res.output
 
     def test_missing_file_usage_error(self):
         assert invoke("circuit", "/nonexistent.qc").exit_code == 2
@@ -243,6 +249,7 @@ class TestCircuit:
         res = invoke("circuit", str(DATA / "four_mode_interferometer.qc"), "--amp", amp)
         assert res.exit_code == 2
         assert "output" not in res.output
+        assert res.stdout == ""
 
 
 _INPUT = ("--eta2", "0.88", "--input", "0.4,0.7,0.3-0.5i")
@@ -275,6 +282,15 @@ class TestCalculatorCommands:
                      "--chi3", "2e-22", "--volume", "1e-7")
         assert res.exit_code == 0
         assert float(res.output) == pytest.approx(1.6e-18, rel=0.01)
+
+    @pytest.mark.parametrize("command", [("kerr-tau",), ("run", "kerr-tau")],
+                             ids=["kerr-tau", "run"])
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_kerr_tau_non_finite_exit_one(self, command, omega):
+        res = invoke(*command, "--omega", omega, "--dt", "1", "--chi3", "1", "--volume", "1")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "omega must be positive and finite" in res.output
 
     def test_noon_bound(self):
         res = invoke("noon-bound", "1")

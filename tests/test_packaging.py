@@ -1,0 +1,35 @@
+"""The package's runtime imports against its declared dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_imports_are_declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+    undeclared = {}
+    for path in sorted((ROOT / "src" / "qndsim").glob("*.py")):
+        for name in imported_modules(path) - set(sys.stdlib_module_names):
+            if name.lower() not in declared:
+                undeclared.setdefault(name, []).append(path.name)
+    assert undeclared == {}, f"imported but not in [project].dependencies: {undeclared}"

@@ -338,6 +338,9 @@ class TestCalculators:
     def test_kerr_params_validation(self):
         with pytest.raises(ValueError):
             KerrStrengthParams(-1.0, 1.0, 1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                KerrStrengthParams(1.0, 1.0, 1.0, bad)
 
     def test_noon_bound(self):
         assert noon_bound(1) == math.pi / 2
