@@ -36,6 +36,16 @@ def _fmt_complex(z: complex) -> str:
     return f"{re}{sign}{_fmt(abs(z.imag))}i"
 
 
+def _echo(text: str, err: bool = False, nl: bool = True) -> None:
+    """click.echo to the current sys.stdout, or sys.stderr with `err`.
+
+    Given no `file`, click caches the stream it picks in a WeakKeyDictionary
+    whose value is the stream itself, so every stream that an in-process
+    caller redirects output to would stay alive for the life of the process.
+    """
+    click.echo(text, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _spec(make, *args):
     """Build an input spec; a value it rejects is a usage error (exit 2)."""
     try:
@@ -49,7 +59,7 @@ def _kerr_tau(omega: float, dt: float, chi3: float, volume: float) -> float:
     try:
         return protocols.kerr_tau(KerrStrengthParams(omega, dt, chi3, volume))
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(1)
 
 
@@ -159,7 +169,7 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 @main.command()
@@ -192,7 +202,7 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
                    if v is None]
         if missing:
             raise click.UsageError(f"kerr-tau needs {', '.join(missing)}")
-        click.echo(f"tau {_fmt(_kerr_tau(omega, dt, chi3, volume))}")
+        _echo(f"tau {_fmt(_kerr_tau(omega, dt, chi3, volume))}")
         return
 
     if not 0.0 <= eta2 <= 1.0:
@@ -217,19 +227,19 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
         else:  # kerr
             outc = protocols.kerr_qnd(spec, tau, det)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(1)
 
-    click.echo(f"protocol {protocol}")
-    click.echo(f"success_probability {_fmt(outc.success_probability)}")
-    click.echo(f"fidelity {_fmt(outc.fidelity)}")
-    click.echo(f"branches {len(outc.conditional_output.branches)}")
+    _echo(f"protocol {protocol}")
+    _echo(f"success_probability {_fmt(outc.success_probability)}")
+    _echo(f"fidelity {_fmt(outc.fidelity)}")
+    _echo(f"branches {len(outc.conditional_output.branches)}")
     for i, (w, st) in enumerate(outc.conditional_output.branches):
         kets = " ".join(
             f"|{','.join(map(str, occ))}>:{_fmt_complex(a)}"
             for occ, a in sorted(st.amplitudes.items())
         )
-        click.echo(f"branch {i} weight {_fmt(w)} {kets}")
+        _echo(f"branch {i} weight {_fmt(w)} {kets}")
 
 
 @main.command()
@@ -243,7 +253,7 @@ def circuit(path, amps):
     try:
         transform = parse_circuit(text)
     except CircuitSyntaxError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(2)
     # the input state is built first, so a malformed --amp prints nothing
     state = None
@@ -260,18 +270,18 @@ def circuit(path, amps):
             state_amps[occ] = state_amps.get(occ, 0j) + _spec(parse_complex, amp_text)
         state = _spec(FockState, transform.channels, state_amps)
         state = _spec(state.normalized)
-    click.echo("channels " + " ".join(str(c) for c in transform.channels))
+    _echo("channels " + " ".join(str(c) for c in transform.channels))
     for row in transform.matrix:
-        click.echo(" ".join(_fmt_complex(z) for z in row))
+        _echo(" ".join(_fmt_complex(z) for z in row))
     if state is not None:
         try:
             result = apply_transform(transform, state)
         except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(1)
-        click.echo("output")
+        _echo("output")
         for occ, a in sorted(result.amplitudes.items()):
-            click.echo(f"|{','.join(map(str, occ))}> {_fmt_complex(a)}")
+            _echo(f"|{','.join(map(str, occ))}> {_fmt_complex(a)}")
 
 
 @main.command("kerr-tau")
@@ -281,7 +291,7 @@ def circuit(path, amps):
 @click.option("--volume", type=float, required=True, help="Interaction volume, m^3.")
 def kerr_tau_cmd(omega, dt, chi3, volume):
     """Dimensionless Kerr coupling for the given material parameters."""
-    click.echo(_fmt(_kerr_tau(omega, dt, chi3, volume)))
+    _echo(_fmt(_kerr_tau(omega, dt, chi3, volume)))
 
 
 @main.command("noon-bound")
@@ -291,9 +301,9 @@ def noon_bound_cmd(n):
     try:
         value = protocols.noon_bound(n)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(1)
-    click.echo(_fmt(value))
+    _echo(_fmt(value))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -67,10 +67,13 @@ class PatternTable:
     Holds each pattern's mass and its amplitudes on the kept channels, and no
     detector model: `reweight` applies one.  A pattern's normalized branch
     state is built the first time a detector gives it a non-zero POVM factor
-    and is then reused, because most patterns never get one.
+    and is then reused, because most patterns never get one.  For the same
+    reason the patterns whose POVM coefficients are all non-zero are listed
+    once per zero layout (which coefficients are exactly 0.0): every row of
+    an efficiency sweep with 0 < eta^2 < 1 has the same layout.
     """
 
-    __slots__ = ("detected", "kept", "patterns", "top", "_branches")
+    __slots__ = ("detected", "kept", "patterns", "top", "_branches", "_live")
 
     def __init__(
         self,
@@ -84,6 +87,9 @@ class PatternTable:
         # highest detected occupation, so POVM tables cover every pattern
         self.top = max((n for pattern in patterns for n in pattern), default=0)
         self._branches: dict[tuple[int, ...], FockState] = {}
+        # zero layout (a non-zero flag per coefficient) -> patterns with no
+        # zero coefficient, in insertion order
+        self._live: dict[tuple[tuple[bool, ...], ...], list[tuple[int, ...]]] = {}
 
     def branch(self, pattern: tuple[int, ...]) -> FockState:
         """Normalized kept-channel state of one pattern."""
@@ -92,6 +98,17 @@ class PatternTable:
             _, amps = self.patterns[pattern]
             st = self._branches[pattern] = FockState(self.kept, amps).normalized()
         return st
+
+    def live(self, coeffs: list[tuple[float, ...]]) -> list[tuple[int, ...]]:
+        """Patterns whose coefficients in `coeffs` (one table per detected
+        channel) are all non-zero, in insertion order."""
+        layout = tuple(tuple(map(bool, row)) for row in coeffs)
+        patterns = self._live.get(layout)
+        if patterns is None:
+            patterns = self._live[layout] = [
+                p for p in self.patterns if all(map(tuple.__getitem__, coeffs, p))
+            ]
+        return patterns
 
 
 def pattern_table(
@@ -128,17 +145,20 @@ def reweight(
         raise ModeMismatchError(
             f"{len(readings)} readings for detected channels {table.detected}"
         )
-    # tabulated up to every occupation and every reading; a reading above
-    # all occupations gets zero coefficients instead of an error
+    # tabulated up to every occupation and every reading, once per distinct
+    # reading; a reading above all occupations gets zero coefficients
     top = max((table.top, *readings))
-    coeffs = [povm_element(k, det, top) for k in readings]
+    rows = {k: povm_element(k, det, top) for k in dict.fromkeys(readings)}
+    coeffs = [rows[k] for k in readings]
+    patterns = table.patterns
     weights: list[float] = []
     branches: list[tuple[float, FockState]] = []
-    for pattern, (mass, _) in table.patterns.items():
+    for pattern in table.live(coeffs):
+        # non-zero coefficients can still multiply to an underflowed 0.0
         povm_factor = math.prod(map(tuple.__getitem__, coeffs, pattern))
         if povm_factor == 0.0:
             continue
-        w = povm_factor * mass
+        w = povm_factor * patterns[pattern][0]
         weights.append(w)
         branches.append((w, table.branch(pattern)))
     return math.fsum(weights), MixedState(tuple(branches))
@@ -157,20 +177,45 @@ def condition(
     return reweight(pattern_table(state, readings), tuple(readings.values()), det)
 
 
+class TargetOverlaps:
+    """A target state with its overlaps |<target|branch>|^2, each computed once
+    per branch state.
+
+    `PatternTable` memoizes its branch states, so an evolved device reweighted
+    at many efficiencies meets the same few branches on every row.
+    """
+
+    __slots__ = ("target", "_overlaps")
+
+    def __init__(self, target: FockState):
+        self.target = target
+        self._overlaps: dict[FockState, float] = {}  # keyed by identity
+
+    def fidelity(self, rho: MixedState) -> float:
+        """Tr[rho |target><target|] for a unit-weight ensemble."""
+        total = rho.total_weight()
+        if total <= 0.0:
+            raise ValueError("fidelity of a zero-weight ensemble is undefined")
+        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
+            raise ValueError(
+                f"ensemble weight {total} != 1; renormalize before computing fidelity"
+            )
+        target = self.target
+        if rho.channels != target.channels:
+            raise ModeMismatchError("ensemble and target live on different channels")
+        overlaps = self._overlaps
+        terms = []
+        for w, st in rho.branches:
+            overlap = overlaps.get(st)
+            if overlap is None:
+                overlap = overlaps[st] = abs(inner_product(target, st)) ** 2
+            terms.append(w * overlap)
+        return math.fsum(terms)
+
+
 def fidelity(rho: MixedState, target: FockState) -> float:
     """Tr[rho |target><target|] for a unit-weight ensemble."""
-    total = rho.total_weight()
-    if total <= 0.0:
-        raise ValueError("fidelity of a zero-weight ensemble is undefined")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(
-            f"ensemble weight {total} != 1; renormalize before computing fidelity"
-        )
-    if rho.channels != target.channels:
-        raise ModeMismatchError("ensemble and target live on different channels")
-    return math.fsum(
-        w * abs(inner_product(target, st)) ** 2 for w, st in rho.branches
-    )
+    return TargetOverlaps(target).fidelity(rho)
 
 
 def closed_form_fidelity(gamma: float, eta: float) -> float:

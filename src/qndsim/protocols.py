@@ -18,7 +18,7 @@ parameters, and the noon-state phase-resolution bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .detection import (
     IDEAL,
     DetectorModel,
     PatternTable,
+    TargetOverlaps,
     condition,
-    fidelity as _fidelity,
     pattern_table,
     reweight,
 )
@@ -170,12 +170,11 @@ class ProtocolOutcome:
     target: FockState
 
 
-def _outcome(prob: float, out: MixedState, target: FockState) -> ProtocolOutcome:
-    if prob > 0.0:
-        fid = _fidelity(out.renormalized(), target)
-    else:
-        fid = 0.0
-    return ProtocolOutcome(prob, out, fid, target)
+def _outcome(prob: float, out: MixedState, overlaps: TargetOverlaps) -> ProtocolOutcome:
+    if math.isnan(prob):
+        raise ValueError("success probability is NaN")
+    fid = overlaps.fidelity(out.renormalized()) if prob > 0.0 else 0.0
+    return ProtocolOutcome(prob, out, fid, overlaps.target)
 
 
 @dataclass(frozen=True)
@@ -184,16 +183,21 @@ class EvolvedDevice:
 
     Linear-optical evolution does not depend on the detector efficiency, so the
     evolved state is tabulated once by heralding pattern and `outcome` only
-    applies a detector model: a sweep over efficiencies evolves once.
+    applies a detector model: a sweep over efficiencies evolves once, and each
+    branch's overlap with the target is computed once.
     """
 
     table: PatternTable
     readings: tuple[int, ...]  # success signature, in table.detected order
     target: FockState
+    _overlaps: TargetOverlaps = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_overlaps", TargetOverlaps(self.target))
 
     def outcome(self, det: DetectorModel = IDEAL) -> ProtocolOutcome:
         prob, out = reweight(self.table, self.readings, det)
-        return _outcome(prob, out, self.target)
+        return _outcome(prob, out, self._overlaps)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +417,7 @@ def _teleport(
             branches.append((w, _sigma_z(st, _TP2_V) if correct else st))
     out = MixedState(tuple(branches))
     target = FockState(_TP2.channels, target_amps)
-    return _outcome(total, out, target)
+    return _outcome(total, out, TargetOverlaps(target))
 
 
 def teleport_number_qnd(input: NumberInputSpec, src: PdcSourceSpec) -> ProtocolOutcome:
@@ -477,7 +481,7 @@ def kerr_qnd(
     # constructive arm (D1) is `arm`, the pi-shifted port (D2) is `probe`
     prob, out = condition(state, {_K_P: 1, _K_W: 0}, det)
     target = FockState.basis((_K_S,), (1,))
-    return _outcome(prob, out, target)
+    return _outcome(prob, out, TargetOverlaps(target))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
+import contextlib
 import csv
+import gc
 import io
 import math
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from qndsim import protocols
 from qndsim.cli import main
 from qndsim.detection import DetectorModel
 from qndsim.protocols import (
@@ -148,6 +152,36 @@ class TestSweep:
         assert res.exit_code == 2
         assert "nan," not in res.output
 
+    @pytest.mark.parametrize("name, argv", [
+        ("pol", ("--protocol", "pol", "--gamma", "0,3", "--theta", "1.1,2.3")),
+        ("number", ("--protocol", "number", "--gamma", "0,3", "-T", "0.3")),
+    ], ids=["pol", "number"])
+    def test_zero_layout_rows_match_golden_csv(self, name, argv):
+        """eta2 = 0 and 1 zero other POVM coefficients than the rows between."""
+        golden = (DATA / f"sweep_{name}_layouts.csv").read_text(encoding="utf-8")
+        assert invoke("sweep", *argv, "--eta2", "0:1:6").output == golden
+
+    @pytest.mark.parametrize("protocol", ["number", "pol"])
+    @pytest.mark.parametrize("steps", [2, 9])
+    def test_evolves_once_per_gamma(self, monkeypatch, protocol, steps):
+        calls = {"apply": 0, "pattern_table": 0}
+
+        def counted(name):
+            original = getattr(protocols, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(protocols, name, counted(name))
+        res = invoke("sweep", "--protocol", protocol, "--gamma", "0,0.5,2",
+                     "--eta2", f"0.5:1.0:{steps}")
+        assert res.exit_code == 0
+        assert len(parse_csv(res.output)) == 3 * steps
+        assert calls == {"apply": 3, "pattern_table": 3}
+
 
 class TestRun:
     def test_number_at_third_transmission(self):
@@ -274,6 +308,29 @@ def test_stdout_matches_golden(name):
     res = invoke(*GOLDEN_STDOUT[name])
     assert res.exit_code == 0
     assert res.stdout_bytes == (DATA / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--protocol", "pol", "--gamma", "1", "--eta2", "0.5:1.0:3"),
+    ("run", "number", "--eta2", "0.9"),
+    ("circuit", _FOUR, "--amp", "1,0,1,0=1"),
+    ("noon-bound", "0"),
+], ids=["sweep", "run", "circuit", "exit-1"])
+def test_redirected_streams_are_released(argv):
+    """In-process callers that redirect output get their streams back."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=list(argv), prog_name="qndsim")
+        except SystemExit as exc:
+            code = exc.code
+    assert code == (1 if argv[0] == "noon-bound" else 0)
+    assert (err if code else out).getvalue()
+    refs = weakref.ref(out), weakref.ref(err)
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 class TestCalculatorCommands:

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from qndsim import detection, protocols
 from qndsim.detection import (
     IDEAL,
     DetectorModel,
+    PatternTable,
     closed_form_fidelity,
     condition,
     fidelity,
@@ -23,9 +25,19 @@ from qndsim.fock import (
     tensor,
 )
 from qndsim.optics import BeamSplitterSpec, apply, beam_splitter
-from qndsim.protocols import number_device_transform
+from qndsim.protocols import (
+    NumberInputSpec,
+    PdcSourceSpec,
+    PolarizationAngle,
+    kerr_qnd,
+    number_device_transform,
+    number_qnd,
+    pol_qnd,
+    teleport_pol_qnd,
+)
 
 from test_fock import random_state
+from test_optics import exact_items
 
 A, B, C, D = Channel("a"), Channel("b"), Channel("c"), Channel("d")
 
@@ -202,6 +214,98 @@ class TestPatternTable:
                 assert st.amplitudes == table.branch(pattern).amplitudes
 
 
+def full_scan_reweight(table, readings, det=IDEAL):
+    """Reference: every pattern's POVM product, pattern by pattern, the float
+    operations `reweight` must reproduce bit for bit."""
+    top = max((table.top, *readings))
+    coeffs = [povm_element(k, det, top) for k in readings]
+    weights, branches = [], []
+    for pattern, (mass, _) in table.patterns.items():
+        povm_factor = math.prod(map(tuple.__getitem__, coeffs, pattern))
+        if povm_factor == 0.0:
+            continue
+        w = povm_factor * mass
+        weights.append(w)
+        branches.append((w, table.branch(pattern)))
+    return math.fsum(weights), MixedState(tuple(branches))
+
+
+def exact_outcome(prob, out):
+    """Probability, then each branch's weight and amplitudes, as exact bits."""
+    return prob.hex(), [(w.hex(), exact_items(st.amplitudes)) for w, st in out.branches]
+
+
+def conditioned_state(run):
+    """(state, detected channels) of the last pattern table `run()` builds."""
+    seen = []
+
+    def recording(state, detected):
+        seen.append((state, detected))
+        return pattern_table(state, detected)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "pattern_table", recording)
+        mp.setattr(protocols, "pattern_table", recording)
+        run()
+    return seen[-1]
+
+
+SPEC = NumberInputSpec(0.3, 0.8, math.sqrt(1 - 0.09 - 0.64))
+ANGLE = PolarizationAngle.from_bloch(1.1, 2.3)
+# device -> (the call that conditions, readings in its detected order)
+DEVICES = {
+    "number": (lambda: number_qnd(SPEC, 0.37), [(0, 1, 1), (0, 0, 0), (1, 1, 0)]),
+    "pol": (lambda: pol_qnd(SPEC, ANGLE), [(1, 1, 1, 1), (0, 1, 0, 1)]),
+    "kerr": (lambda: kerr_qnd(SPEC, 2.1), [(1, 0), (0, 1)]),
+    "teleport": (lambda: teleport_pol_qnd(SPEC, ANGLE, PdcSourceSpec(0.2)),
+                 [pattern for pattern, _ in protocols._BELL_PATTERNS]),
+}
+# 0 and 1 zero whole rows of coefficients.  Below about 1e-16, 1 - e rounds
+# to 1 and every threshold click coefficient is 0.0.  At 5e-324, 1e-200 and
+# 1e-160 products of non-zero coefficients underflow to 0.0; at 1e-160 only
+# pol's product of four readings does.
+EFFICIENCIES = (0.0, 5e-324, 1e-200, 1e-160, 0.3, 0.88, 1 - 1e-16, 1.0)
+
+
+class TestReferenceReweight:
+    @pytest.mark.parametrize("resolves", [True, False], ids=["counting", "threshold"])
+    @pytest.mark.parametrize("device", list(DEVICES))
+    def test_reweight_is_bit_identical(self, device, resolves):
+        run, readings_list = DEVICES[device]
+        state, detected = conditioned_state(run)
+        table, reference = pattern_table(state, detected), pattern_table(state, detected)
+        for e in EFFICIENCIES:
+            det = DetectorModel(e, resolves)
+            for readings in readings_list:
+                assert exact_outcome(*reweight(table, readings, det)) == exact_outcome(
+                    *full_scan_reweight(reference, readings, det)), (e, readings)
+
+    # the second order starts on a layout with fewer live patterns, so a list
+    # kept from an earlier row would drop patterns instead of adding them
+    @pytest.mark.parametrize("order", [(0.5, 1.0, 0.5, 0.0, 0.5), (1.0, 0.5, 0.0, 0.5)],
+                             ids=["from-0.5", "from-1"])
+    @pytest.mark.parametrize("device", ["number", "pol"])
+    def test_reused_table_follows_the_zero_layout(self, device, order):
+        run, (readings, *_) = DEVICES[device]
+        state, detected = conditioned_state(run)
+        table = pattern_table(state, detected)
+        for e in order:
+            det = DetectorModel(e)
+            reference = pattern_table(state, detected)
+            assert exact_outcome(*reweight(table, readings, det)) == exact_outcome(
+                *full_scan_reweight(reference, readings, det)), e
+
+    def test_underflowed_product_is_skipped(self):
+        state, detected = conditioned_state(DEVICES["pol"][0])
+        table = pattern_table(state, detected)
+        det = DetectorModel(1e-160)
+        # every coefficient is non-zero, so patterns are live ...
+        assert table.live([povm_element(1, det, table.top)] * 4)
+        # ... but each product of four is below the smallest denormal
+        prob, out = reweight(table, (1, 1, 1, 1), det)
+        assert (prob, out.branches) == (0.0, ())
+
+
 class TestLossAncillaOracle:
     """Cross-check: an inefficient counter equals a transmission-eta2 beam
     splitter into an unobserved ancilla followed by an ideal counter."""
@@ -274,6 +378,13 @@ class TestFidelity:
         one = FockState.basis((A,), (1,))
         with pytest.raises(ValueError):
             fidelity(MixedState(()), one)
+
+    def test_nan_weight_rejected(self):
+        table = PatternTable((A,), (B,), {(1,): (math.nan, {(1,): 1.0})})
+        prob, out = reweight(table, (1,))
+        assert math.isnan(prob)
+        with pytest.raises(ValueError, match="ensemble weight nan"):
+            fidelity(out, FockState.basis((B,), (1,)))
 
 
 class TestClosedFormFidelity:

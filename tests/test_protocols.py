@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qndsim.detection import IDEAL, DetectorModel
-from qndsim.fock import Channel
+from qndsim.detection import IDEAL, DetectorModel, PatternTable
+from qndsim.fock import Channel, FockState
 from qndsim.protocols import (
     KerrStrengthParams,
     NumberInputSpec,
@@ -99,6 +99,15 @@ class TestInputSpecs:
         with pytest.raises(ValueError):
             PdcSourceSpec(0.0)
         assert PdcSourceSpec(0.01).p_pdc == pytest.approx(1e-4)
+
+
+class TestEvolvedDevice:
+    def test_nan_probability_raises(self):
+        a, b = Channel("a"), Channel("b")
+        table = PatternTable((a,), (b,), {(1,): (math.nan, {(1,): 1.0})})
+        device = protocols.EvolvedDevice(table, (1,), FockState.basis((b,), (1,)))
+        with pytest.raises(ValueError, match="NaN"):
+            device.outcome()
 
 
 class TestNumberQnd:
