@@ -191,21 +191,30 @@ class TargetOverlaps:
         self.target = target
         self._overlaps: dict[FockState, float] = {}  # keyed by identity
 
-    def fidelity(self, rho: MixedState) -> float:
-        """Tr[rho |target><target|] for a unit-weight ensemble."""
-        total = rho.total_weight()
-        if total <= 0.0:
+    def fidelity(self, rho: MixedState, total: float = 1.0) -> float:
+        """Tr[rho |target><target|] / total, where `total` is rho's weight.
+
+        The default suits a unit-weight ensemble.  A caller that has already
+        summed the weights passes that sum, and each weight is divided by it
+        here, as `MixedState.renormalized` would; the divided weights must
+        still sum to 1.
+        """
+        if not total > 0.0:  # also rejects NaN
             raise ValueError("fidelity of a zero-weight ensemble is undefined")
-        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
+        weights = [w / total for w, _ in rho.branches]
+        norm = math.fsum(weights)
+        if norm <= 0.0:
+            raise ValueError("fidelity of a zero-weight ensemble is undefined")
+        if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
             raise ValueError(
-                f"ensemble weight {total} != 1; renormalize before computing fidelity"
+                f"ensemble weight {norm} != 1; renormalize before computing fidelity"
             )
         target = self.target
         if rho.channels != target.channels:
             raise ModeMismatchError("ensemble and target live on different channels")
         overlaps = self._overlaps
         terms = []
-        for w, st in rho.branches:
+        for w, (_, st) in zip(weights, rho.branches):
             overlap = overlaps.get(st)
             if overlap is None:
                 overlap = overlaps[st] = abs(inner_product(target, st)) ** 2

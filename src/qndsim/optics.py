@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -183,13 +183,23 @@ def compose(t1: ModeTransform, t2: ModeTransform) -> ModeTransform:
     return ModeTransform(chans, u2 @ u1)
 
 
-def apply(t: ModeTransform, state: FockState) -> FockState:
+def apply(
+    t: ModeTransform, state: FockState, floor: Mapping[ChannelLike, int] | None = None
+) -> FockState:
     """Apply the transform to a state by creation-operator substitution.
 
     A monomial prod_i (a_i^dagger)^m_i is coded as the integer sum_i m_i B^i,
     with B one more than the largest photon number among the input kets.
     Photon number is conserved, so no digit reaches B and a_i^dagger adds B^i,
     and output codes are decoded to occupation tuples only at the end.
+
+    `floor`, if given, maps channels to the fewest photons an output ket must
+    hold there; the result is the full output restricted to the kets that
+    meet it (heralded evolution).  A partial monomial whose shortfall
+    sum_c max(0, k_c - m_c) exceeds the photons still to place is not formed:
+    no descendant of it can reach the floor, and every parent of a kept
+    monomial is kept, so the kept amplitudes are the same sums, in the same
+    order, bit for bit.
     """
     for c in t.channels:
         if c not in state.channels:
@@ -202,21 +212,55 @@ def apply(t: ModeTransform, state: FockState) -> FockState:
         [(s, cij) for s, cij in zip(strides, col) if cij != 0]
         for col in full.matrix.T.tolist()
     ]
+    # (stride, fewest photons) per channel with a positive floor
+    need = []
+    if floor:
+        chans = as_channels(floor)
+        if len(chans) != len(floor):
+            raise ModeMismatchError("a floor needs one channel per entry")
+        for c, k in zip(chans, floor.values()):
+            if c not in state.channels:
+                raise ModeMismatchError(f"floor channel {c} not in state")
+            if k < 0:
+                raise ValueError(f"negative floor {k} on {c}")
+            if k:
+                need.append((strides[state.channels.index(c)], k))
+    total = sum(k for _, k in need)
+    shortfalls: dict[int, int] = {}  # code -> shortfall, once per code
 
     factorial = [math.factorial(n) for n in range(base)]
     acc: dict[int, complex] = {}  # output code -> amplitude
     scales: dict[int, float] = {}  # output code -> sqrt(prod m!), once per code
     for occ, amp in state.amplitudes.items():
+        left = sum(occ)  # photons still to place
+        if left < total:
+            continue  # no ket of this photon number meets the floor
         # start from amp / sqrt(prod occ!) and multiply one linear form per photon
         poly = {0: amp / math.sqrt(math.prod(map(factorial.__getitem__, occ)))}
         for n, column in zip(occ, columns):
             for _ in range(n):
                 new_poly: dict[int, complex] = {}
                 get = new_poly.get
-                for mon, c0 in poly.items():
-                    for stride, cij in column:
-                        new = mon + stride
-                        new_poly[new] = get(new, 0j) + c0 * cij
+                left -= 1
+                if left < total:  # only now can a shortfall exceed `left`
+                    for mon, c0 in poly.items():
+                        for stride, cij in column:
+                            new = mon + stride
+                            short = shortfalls.get(new)
+                            if short is None:
+                                short = 0
+                                for at, k in need:
+                                    m = new // at % base
+                                    if m < k:
+                                        short += k - m
+                                shortfalls[new] = short
+                            if short <= left:
+                                new_poly[new] = get(new, 0j) + c0 * cij
+                else:
+                    for mon, c0 in poly.items():
+                        for stride, cij in column:
+                            new = mon + stride
+                            new_poly[new] = get(new, 0j) + c0 * cij
                 poly = new_poly
         get = acc.get
         for mon, c0 in poly.items():

@@ -111,6 +111,8 @@ class PolarizationAngle:
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float = 0.0) -> "PolarizationAngle":
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"Bloch angles must be finite, got theta={theta}, phi={phi}")
         return cls(math.cos(theta / 2.0), complex(np.exp(1j * phi)) * math.sin(theta / 2.0))
 
     @classmethod
@@ -170,10 +172,13 @@ class ProtocolOutcome:
     target: FockState
 
 
-def _outcome(prob: float, out: MixedState, overlaps: TargetOverlaps) -> ProtocolOutcome:
+def _outcome(
+    prob: float, out: MixedState, overlaps: TargetOverlaps, total: float | None = None
+) -> ProtocolOutcome:
+    """`total` is the weight of `out`; by default `prob`, the fsum of its weights."""
     if math.isnan(prob):
         raise ValueError("success probability is NaN")
-    fid = overlaps.fidelity(out.renormalized()) if prob > 0.0 else 0.0
+    fid = overlaps.fidelity(out, prob if total is None else total) if prob > 0.0 else 0.0
     return ProtocolOutcome(prob, out, fid, overlaps.target)
 
 
@@ -205,6 +210,8 @@ class EvolvedDevice:
 # ---------------------------------------------------------------------------
 
 _A, _B, _C, _D = Channel("a"), Channel("b"), Channel("c"), Channel("d")
+# success readings per detected channel
+_NUMBER_SUCCESS = {_A: 0, _C: 1, _D: 1}
 
 
 def number_device_transform(transmission: float = 0.5) -> ModeTransform:
@@ -240,9 +247,11 @@ def number_device(input: NumberInputSpec, transmission: float = 0.5) -> EvolvedD
         (2, 0, 1, 1): input.c2,
     }
     state = FockState(channels, amps)
-    state = apply(number_device_transform(transmission), state)
+    # a reading of k photons needs k photons: expand only kets that can herald
+    state = apply(number_device_transform(transmission), state, _NUMBER_SUCCESS)
     target = FockState.basis((_B,), (1,))
-    return EvolvedDevice(pattern_table(state, (_A, _C, _D)), (0, 1, 1), target)
+    table = pattern_table(state, _NUMBER_SUCCESS)
+    return EvolvedDevice(table, tuple(_NUMBER_SUCCESS.values()), target)
 
 
 def number_qnd(
@@ -264,6 +273,8 @@ _P_DH = Channel("d", "H")
 _P_EV = Channel("e", "V")
 _P_FH = Channel("f", "H")
 _POL_CHANNELS = (_P_AH, _P_AV, _P_CV, _P_DH, _P_EV, _P_FH)
+# success readings per detected channel
+_POL_SUCCESS = {_P_CV: 1, _P_DH: 1, _P_EV: 1, _P_FH: 1}
 
 
 def pol_device_transform() -> ModeTransform:
@@ -315,10 +326,11 @@ def pol_device(input: NumberInputSpec, theta: PolarizationAngle) -> EvolvedDevic
         (ka_h, ka_v, 1, 1, 1, 1): amp for (ka_h, ka_v), amp in sig_amps.items()
     }
     state = FockState(_POL_CHANNELS, amps)
-    state = apply(pol_device_transform(), state)
+    # a reading of k photons needs k photons: expand only kets that can herald
+    state = apply(pol_device_transform(), state, _POL_SUCCESS)
     target = FockState((_P_AH, _P_AV), {(1, 0): theta.alpha, (0, 1): theta.beta})
-    table = pattern_table(state, (_P_CV, _P_DH, _P_EV, _P_FH))
-    return EvolvedDevice(table, (1, 1, 1, 1), target)
+    table = pattern_table(state, _POL_SUCCESS)
+    return EvolvedDevice(table, tuple(_POL_SUCCESS.values()), target)
 
 
 def pol_qnd(
@@ -417,7 +429,8 @@ def _teleport(
             branches.append((w, _sigma_z(st, _TP2_V) if correct else st))
     out = MixedState(tuple(branches))
     target = FockState(_TP2.channels, target_amps)
-    return _outcome(total, out, TargetOverlaps(target))
+    # `total` adds six sums in turn; the fidelity renormalizes by their fsum
+    return _outcome(total, out, TargetOverlaps(target), out.total_weight())
 
 
 def teleport_number_qnd(input: NumberInputSpec, src: PdcSourceSpec) -> ProtocolOutcome:

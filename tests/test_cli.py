@@ -229,6 +229,17 @@ class TestRun:
     def test_nan_theta_usage_error(self):
         assert invoke("run", "pol", "--theta", "nan").exit_code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "pol", "--theta", "inf"),
+        ("run", "pol", "--theta", "nan"),
+        ("run", "pol", "--theta", "1.1,inf"),
+        ("sweep", "--protocol", "pol", "--theta", "nan"),
+    ], ids=["run-inf", "run-nan", "run-phi-inf", "sweep-nan"])
+    def test_non_finite_theta_usage_error(self, argv):
+        res = invoke(*argv)
+        assert res.exit_code == 2
+        assert "Bloch angles must be finite" in res.output
+
     def test_conflicting_input_flags(self):
         assert invoke("run", "number", "--input", "0,1,0", "--gamma", "2").exit_code == 2
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from qndsim import detection, protocols
+from qndsim import detection, optics, protocols
 from qndsim.detection import (
     IDEAL,
     DetectorModel,
     PatternTable,
+    TargetOverlaps,
     closed_form_fidelity,
     condition,
     fidelity,
@@ -236,7 +237,11 @@ def exact_outcome(prob, out):
 
 
 def conditioned_state(run):
-    """(state, detected channels) of the last pattern table `run()` builds."""
+    """(state, detected channels) of the last pattern table `run()` builds.
+
+    Devices are evolved without their floor, so the state holds every
+    pattern, and readings other than the success readings meet them all.
+    """
     seen = []
 
     def recording(state, detected):
@@ -246,6 +251,7 @@ def conditioned_state(run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detection, "pattern_table", recording)
         mp.setattr(protocols, "pattern_table", recording)
+        mp.setattr(protocols, "apply", lambda t, state, floor=None: optics.apply(t, state))
         run()
     return seen[-1]
 
@@ -304,6 +310,52 @@ class TestReferenceReweight:
         # ... but each product of four is below the smallest denormal
         prob, out = reweight(table, (1, 1, 1, 1), det)
         assert (prob, out.branches) == (0.0, ())
+
+
+def heralded_and_full_tables(make):
+    """The device `make()` builds, and the pattern table of the same evolution
+    without its floor."""
+    seen = []
+
+    def recording(t, state, floor):
+        seen.append((t, state, floor))
+        return optics.apply(t, state, floor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols, "apply", recording)
+        device = make()
+    ((t, state, floor),) = seen
+    return device, pattern_table(optics.apply(t, state), floor)
+
+
+def kets(table):
+    return sum(len(amps) for _, amps in table.patterns.values())
+
+
+class TestHeraldedTable:
+    @pytest.mark.parametrize("resolves", [True, False], ids=["counting", "threshold"])
+    @pytest.mark.parametrize("make", [
+        lambda: protocols.number_device(SPEC, 0.5),
+        lambda: protocols.number_device(SPEC, 0.37),
+        lambda: protocols.number_device(SPEC, 0.8),
+        lambda: protocols.pol_device(SPEC, PolarizationAngle.diagonal()),
+        lambda: protocols.pol_device(SPEC, ANGLE),
+        lambda: protocols.pol_device(SPEC, PolarizationAngle.bloch_average()),
+    ], ids=["number-T0.5", "number-T0.37", "number-T0.8", "pol-diagonal", "pol-1.1,2.3",
+            "pol-average"])
+    def test_reweights_like_the_full_table(self, make, resolves):
+        device, full = heralded_and_full_tables(make)
+        assert kets(device.table) < kets(full)
+        for e in EFFICIENCIES:
+            det = DetectorModel(e, resolves)
+            assert exact_outcome(*reweight(device.table, device.readings, det)) == (
+                exact_outcome(*reweight(full, device.readings, det))), e
+
+    def test_pol_table_work_count(self):
+        spec, angle = NumberInputSpec.from_gamma(1.0), PolarizationAngle.from_bloch(1.1, 2.3)
+        device, full = heralded_and_full_tables(lambda: protocols.pol_device(spec, angle))
+        assert (len(full.patterns), kets(full)) == (175, 558)
+        assert (len(device.table.patterns), kets(device.table)) == (11, 18)
 
 
 class TestLossAncillaOracle:
@@ -385,6 +437,23 @@ class TestFidelity:
         assert math.isnan(prob)
         with pytest.raises(ValueError, match="ensemble weight nan"):
             fidelity(out, FockState.basis((B,), (1,)))
+
+    def test_given_total_renormalizes_bit_for_bit(self):
+        st = heralded_state(c=(0.3, 0.8, math.sqrt(1 - 0.09 - 0.64)))
+        probe = FockState((B,), {(0,): 0.6, (1,): 0.8j})
+        for e in (0.35, 0.88):
+            prob, out = condition(st, {A: 0, C: 1, D: 0}, DetectorModel(e))
+            assert len(out.branches) > 1
+            assert TargetOverlaps(probe).fidelity(out, prob) == fidelity(out.renormalized(), probe)
+
+    def test_wrong_total_rejected(self):
+        one = FockState.basis((A,), (1,))
+        rho = MixedState(((0.5, one),))
+        with pytest.raises(ValueError, match="ensemble weight"):
+            TargetOverlaps(one).fidelity(rho, 0.4)
+        for total in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="zero-weight"):
+                TargetOverlaps(one).fidelity(rho, total)
 
 
 class TestClosedFormFidelity:

@@ -404,3 +404,70 @@ class TestReferenceKernel:
         t = make(rng)
         state = random_state(rng, channels, top, top)
         assert exact_items(apply(t, state).amplitudes) == exact_items(tuple_kernel(t, state))
+
+
+def sparse_state(rng, channels, kets, most):
+    """Random normalized state of `kets` kets; the first holds `most` photons,
+    the others at most that many."""
+    amps = {}
+    photons = most
+    while len(amps) < kets:
+        occ = tuple(int(n) for n in rng.multinomial(photons, [1 / len(channels)] * len(channels)))
+        amps[occ] = complex(rng.standard_normal(), rng.standard_normal())
+        photons = int(rng.integers(0, most + 1))
+    return FockState(channels, amps).normalized()
+
+
+class TestHeraldedApply:
+    """`apply` with a floor is `apply` without one, restricted to the kets that
+    meet the floor: the same keys in the same order, with the same bits."""
+
+    # (channels, input kets, most photons in a ket, floor by channel index)
+    CASES = [
+        (2, 4, 6, {0: 1}),
+        (2, 3, 5, {0: 2, 1: 2}),
+        (3, 6, 4, {0: 1, 2: 2}),
+        (4, 6, 5, {1: 1, 2: 1, 3: 1}),
+        (4, 5, 6, {0: 2, 3: 2}),
+        (5, 6, 5, {0: 0, 1: 1, 4: 2}),
+        (6, 4, 6, {2: 1, 3: 1, 4: 1, 5: 1}),
+        (6, 3, 6, {1: 2, 5: 2, 0: 0}),
+    ]
+
+    @pytest.mark.parametrize("seed, case", enumerate(CASES),
+                             ids=[f"{n}ch-{most}ph" for n, _, most, _ in CASES])
+    def test_floor_restricts_the_output_bit_for_bit(self, seed, case):
+        n_ch, kets, most, floor_at = case
+        rng = np.random.default_rng(seed)
+        channels = tuple(Channel(f"m{i}") for i in range(n_ch))
+        t = matrix_transform(channels, unitary_group.rvs(n_ch, random_state=seed))
+        state = sparse_state(rng, channels, kets, most)
+        floor = {channels[i]: k for i, k in floor_at.items()}
+        full = apply(t, state).amplitudes
+        kept = {occ: a for occ, a in full.items()
+                if all(occ[i] >= k for i, k in floor_at.items())}
+        assert 0 < len(kept) < len(full)
+        assert exact_items(apply(t, state, floor).amplitudes) == exact_items(kept)
+
+    def test_floor_above_the_photon_number_gives_an_empty_state(self):
+        t = matrix_transform((A, B, C), unitary_group.rvs(3, random_state=9))
+        state = FockState((A, B, C), {(1, 1, 1): 0.6, (2, 0, 0): 0.8})
+        out = apply(t, state, {A: 2, C: 2})
+        assert out.channels == (A, B, C)
+        assert out.amplitudes == {}
+
+    def test_floor_of_zeros_changes_nothing(self):
+        t = number_device_transform(0.3)
+        state = random_state(np.random.default_rng(4), (A, B, C, D), 2, 4)
+        assert exact_items(apply(t, state, {A: 0, D: 0}).amplitudes) == exact_items(
+            apply(t, state).amplitudes)
+
+    def test_floor_channel_not_in_state_rejected(self):
+        state = FockState.basis((A, B), (1, 1))
+        with pytest.raises(ModeMismatchError):
+            apply(beam_splitter(BeamSplitterSpec(0.5), A, B), state, {C: 1})
+
+    def test_negative_floor_rejected(self):
+        state = FockState.basis((A, B), (1, 1))
+        with pytest.raises(ValueError, match="negative floor"):
+            apply(beam_splitter(BeamSplitterSpec(0.5), A, B), state, {A: -1})

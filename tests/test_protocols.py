@@ -95,6 +95,12 @@ class TestInputSpecs:
         with pytest.raises(ValueError):
             PolarizationAngle.from_bloch(math.nan)
 
+    @pytest.mark.parametrize("theta, phi", [(math.inf, 0.0), (-math.inf, 0.0),
+                                            (math.nan, 0.0), (1.1, math.inf), (0.0, math.nan)])
+    def test_non_finite_bloch_angles_rejected(self, theta, phi):
+        with pytest.raises(ValueError, match="Bloch angles must be finite"):
+            PolarizationAngle.from_bloch(theta, phi)
+
     def test_pdc_source(self):
         with pytest.raises(ValueError):
             PdcSourceSpec(0.0)
