@@ -118,7 +118,9 @@ def parse_circuit(text: str) -> ModeTransform:
                 try:
                     k = int(args[0])
                 except ValueError:
-                    raise CircuitSyntaxError(line_no, f"bad size {args[0]!r}") from None
+                    k = -1
+                if k < 0:
+                    raise CircuitSyntaxError(line_no, f"bad size {args[0]!r}")
                 entries = args[1:]
                 if len(entries) != k * k:
                     raise CircuitSyntaxError(

@@ -146,10 +146,11 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
             eta2 = stop if i == steps - 1 else start + (stop - start) * i / (steps - 1)
             outc = device.outcome(DetectorModel(eta2))
             eta = math.sqrt(eta2)
+            # an overflowing closed form is a usage error, before any output
             if protocol == "number":
-                closed = closed_form_fidelity(gamma, eta)
+                closed = _spec(closed_form_fidelity, gamma, eta)
             else:
-                closed = protocols.pol_fidelity_approx(gamma, eta)
+                closed = _spec(protocols.pol_fidelity_approx, gamma, eta)
             lines.append(
                 ",".join(
                     [

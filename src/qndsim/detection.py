@@ -67,13 +67,10 @@ class PatternTable:
     Holds each pattern's mass and its amplitudes on the kept channels, and no
     detector model: `reweight` applies one.  A pattern's normalized branch
     state is built the first time a detector gives it a non-zero POVM factor
-    and is then reused, because most patterns never get one.  For the same
-    reason the patterns whose POVM coefficients are all non-zero are listed
-    once per zero layout (which coefficients are exactly 0.0): every row of
-    an efficiency sweep with 0 < eta^2 < 1 has the same layout.
+    and is then reused, because most patterns never get one.
     """
 
-    __slots__ = ("detected", "kept", "patterns", "top", "_branches", "_live")
+    __slots__ = ("detected", "kept", "patterns", "top", "_branches")
 
     def __init__(
         self,
@@ -87,9 +84,6 @@ class PatternTable:
         # highest detected occupation, so POVM tables cover every pattern
         self.top = max((n for pattern in patterns for n in pattern), default=0)
         self._branches: dict[tuple[int, ...], FockState] = {}
-        # zero layout (a non-zero flag per coefficient) -> patterns with no
-        # zero coefficient, in insertion order
-        self._live: dict[tuple[tuple[bool, ...], ...], list[tuple[int, ...]]] = {}
 
     def branch(self, pattern: tuple[int, ...]) -> FockState:
         """Normalized kept-channel state of one pattern."""
@@ -98,17 +92,6 @@ class PatternTable:
             _, amps = self.patterns[pattern]
             st = self._branches[pattern] = FockState(self.kept, amps).normalized()
         return st
-
-    def live(self, coeffs: list[tuple[float, ...]]) -> list[tuple[int, ...]]:
-        """Patterns whose coefficients in `coeffs` (one table per detected
-        channel) are all non-zero, in insertion order."""
-        layout = tuple(tuple(map(bool, row)) for row in coeffs)
-        patterns = self._live.get(layout)
-        if patterns is None:
-            patterns = self._live[layout] = [
-                p for p in self.patterns if all(map(tuple.__getitem__, coeffs, p))
-            ]
-        return patterns
 
 
 def pattern_table(
@@ -150,15 +133,14 @@ def reweight(
     top = max((table.top, *readings))
     rows = {k: povm_element(k, det, top) for k in dict.fromkeys(readings)}
     coeffs = [rows[k] for k in readings]
-    patterns = table.patterns
     weights: list[float] = []
     branches: list[tuple[float, FockState]] = []
-    for pattern in table.live(coeffs):
-        # non-zero coefficients can still multiply to an underflowed 0.0
+    for pattern, (mass, _) in table.patterns.items():
+        # a zero coefficient or an underflowed product drops the pattern
         povm_factor = math.prod(map(tuple.__getitem__, coeffs, pattern))
         if povm_factor == 0.0:
             continue
-        w = povm_factor * patterns[pattern][0]
+        w = povm_factor * mass
         weights.append(w)
         branches.append((w, table.branch(pattern)))
     return math.fsum(weights), MixedState(tuple(branches))
@@ -235,10 +217,16 @@ def closed_form_fidelity(gamma: float, eta: float) -> float:
     loss terms for two-photon inputs are inconsistent with exact simulation
     (see the acceptance tests); exact conditioning yields 1/(1 + eta_tilde^2)
     independent of gamma.  The two agree only at gamma = 0 and at eta = 1.
+    Raises ValueError if a term overflows.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta out of range [0, 1]")
     lt = 1.0 - eta**2  # eta_tilde squared
-    return (2.0 + 5.0 * lt * gamma) / (2.0 + lt * (2.0 + 5.0 * gamma + 12.0 * gamma * lt))
+    den = 2.0 + lt * (2.0 + 5.0 * gamma + 12.0 * gamma * lt)
+    # the numerator's term is at most den's lt * 5 gamma, so any overflow
+    # leaves den inf or NaN, where the ratio would print 0 or nan
+    if not math.isfinite(den):
+        raise ValueError(f"closed-form fidelity overflows at gamma={gamma}")
+    return (2.0 + 5.0 * lt * gamma) / den

@@ -37,7 +37,6 @@ from .optics import (
     ModeTransform,
     apply,
     beam_splitter,
-    compose,
     kerr_gate,
     KerrGateSpec,
     matrix_transform,
@@ -217,18 +216,18 @@ _NUMBER_SUCCESS = {_A: 0, _C: 1, _D: 1}
 def number_device_transform(transmission: float = 0.5) -> ModeTransform:
     """Four-channel network: 50:50 splitter merging the two probe modes c, d,
     followed by transmission-T splitters mixing each 50:50 output with the
-    signal mode a and the auxiliary vacuum mode b respectively.
-
-    At T=1/2 the columns reduce to
+    signal mode a and the auxiliary vacuum mode b respectively; its matrix
+    is entered directly.  At T=1/2 the columns reduce to
         a -> (a - c)/sqrt2,        b -> (b - d)/sqrt2,
         c -> (a + b + c + d)/2,    d -> (-a + b - c + d)/2.
     """
-    half = BeamSplitterSpec(0.5)
-    t_spec = BeamSplitterSpec(transmission)
-    net = beam_splitter(half, _C, _D)
-    net = compose(net, beam_splitter(t_spec, _C, _A))
-    net = compose(net, beam_splitter(t_spec, _D, _B))
-    return net.embedded((_A, _B, _C, _D))
+    BeamSplitterSpec(transmission)  # validates T
+    # each entry is the splitter chain's one product of t, r and h = sqrt(1/2)
+    t, r, h = math.sqrt(transmission), math.sqrt(1.0 - transmission), math.sqrt(0.5)
+    cols = [[t, 0.0, -r, 0.0], [0.0, t, 0.0, -r],
+            [r * h, r * h, t * h, t * h], [-r * h, r * h, -t * h, t * h]]
+    # + 0.0 turns the -0.0 of a zero factor at T = 0 or 1 into the chain's 0.0
+    return matrix_transform((_A, _B, _C, _D), np.array(cols).T + 0.0)
 
 
 def number_device(input: NumberInputSpec, transmission: float = 0.5) -> EvolvedDevice:
@@ -351,9 +350,12 @@ def pol_fidelity_approx(gamma: float, eta: float) -> float:
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta out of range [0, 1]")
     lt = 1.0 - eta**2
-    return (1.0 + 0.93 * gamma * lt) / (
-        1.0 + (0.12 + 1.22 * gamma) * lt + 0.93 * gamma * lt**2
-    )
+    den = 1.0 + (0.12 + 1.22 * gamma) * lt + 0.93 * gamma * lt**2
+    # the numerator's term is below one of den's, so any overflow leaves den
+    # inf or NaN, where the ratio would print 0 or nan
+    if not math.isfinite(den):
+        raise ValueError(f"closed-form fidelity overflows at gamma={gamma}")
+    return (1.0 + 0.93 * gamma * lt) / den
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +422,19 @@ def _teleport(
     state = apply(bs, state)
     table = pattern_table(state, (_TS_H, _TS_V, _TP1_H, _TP1_V))
 
+    # an ideal detector's coefficient is 1.0 at its reading and 0.0 elsewhere,
+    # so each accepted pattern weighs exactly its mass
     total = 0.0
     branches: list[tuple[float, FockState]] = []
     for pattern, correct in _BELL_PATTERNS:
-        prob, out = reweight(table, pattern)
-        total += prob
-        for w, st in out.branches:
-            branches.append((w, _sigma_z(st, _TP2_V) if correct else st))
+        if pattern in table.patterns:
+            mass = table.patterns[pattern][0]
+            total += mass
+            st = table.branch(pattern)
+            branches.append((mass, _sigma_z(st, _TP2_V) if correct else st))
     out = MixedState(tuple(branches))
     target = FockState(_TP2.channels, target_amps)
-    # `total` adds six sums in turn; the fidelity renormalizes by their fsum
+    # `total` adds the masses in turn; the fidelity renormalizes by their fsum
     return _outcome(total, out, TargetOverlaps(target), out.total_weight())
 
 

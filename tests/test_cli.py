@@ -146,11 +146,20 @@ class TestSweep:
     def test_transmission_out_of_range_usage_error(self):
         assert invoke("sweep", "--protocol", "number", "-T", "1.0").exit_code == 2
 
-    @pytest.mark.parametrize("gamma", ["nan", "inf"])
-    def test_non_finite_gamma_usage_error(self, gamma):
-        res = invoke("sweep", "--protocol", "number", "--gamma", gamma)
+    # a finite gamma whose closed-form terms overflow is refused like a
+    # non-finite one, not printed as 0 or nan
+    @pytest.mark.parametrize("gamma, argv", [
+        ("nan", ("--protocol", "number")),
+        ("inf", ("--protocol", "number")),
+        ("3e307", ("--protocol", "number", "--eta2", "0.5:1:2")),
+        ("1e308", ("--protocol", "number")),
+        ("1.7e308", ("--protocol", "pol", "--eta2", "0.5:1:2")),
+    ], ids=["nan", "inf", "number-3e307", "number-1e308", "pol-1.7e308"])
+    def test_non_finite_gamma_usage_error(self, gamma, argv):
+        res = invoke("sweep", *argv, "--gamma", gamma)
         assert res.exit_code == 2
         assert "nan," not in res.output
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("name, argv", [
         ("pol", ("--protocol", "pol", "--gamma", "0,3", "--theta", "1.1,2.3")),
@@ -277,6 +286,8 @@ class TestCircuit:
             ("mode a\nmode c\nbs a c T=1.5\n", "transmission out of range"),
             ("mode a\nmode b\nps a phi=nan\n", "not unitary"),
             ("mode a\nmode b\nmatrix 2 nan 0 0 1\n", "not unitary"),
+            ("mode a\nmatrix -1 1\n", "bad size '-1'"),
+            ("mode a\nmatrix -1\n", "bad size '-1'"),
         ]
         for text, message in cases:
             bad = tmp_path / "bad.qc"
@@ -287,6 +298,12 @@ class TestCircuit:
 
     def test_missing_file_usage_error(self):
         assert invoke("circuit", "/nonexistent.qc").exit_code == 2
+
+    def test_empty_matrix_accepted(self, tmp_path):
+        path = tmp_path / "empty.qc"
+        path.write_text("mode a\nmatrix 0\n")
+        res = invoke("circuit", str(path))
+        assert (res.exit_code, res.output) == (0, "channels a\n1+0i\n")
 
     @pytest.mark.parametrize("amp", ["0,0,1=1", "0,0,1,-1=1", "0,0,1,1=nan",
                                      "0,0,1,1=0", "0,0,1,1=zz"])

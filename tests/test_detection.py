@@ -44,9 +44,12 @@ A, B, C, D = Channel("a"), Channel("b"), Channel("c"), Channel("d")
 
 
 class TestPovmElement:
-    def test_ideal_is_projector(self):
-        el = povm_element(1, IDEAL, n_max=4)
-        assert el == (0.0, 1.0, 0.0, 0.0, 0.0)
+    @pytest.mark.parametrize("k, n_max", [(k, n) for n in range(7) for k in range(n + 1)])
+    def test_ideal_is_projector(self, k, n_max):
+        # exactly 1.0 at n = k: the teleport analyzer weighs a pattern by its mass
+        el = povm_element(k, IDEAL, n_max=n_max)
+        assert [c.hex() for c in el] == [
+            (1.0 if n == k else 0.0).hex() for n in range(n_max + 1)]
 
     def test_single_photon_reading_coefficients(self):
         e = 0.7
@@ -286,8 +289,8 @@ class TestReferenceReweight:
                 assert exact_outcome(*reweight(table, readings, det)) == exact_outcome(
                     *full_scan_reweight(reference, readings, det)), (e, readings)
 
-    # the second order starts on a layout with fewer live patterns, so a list
-    # kept from an earlier row would drop patterns instead of adding them
+    # the second order starts where fewer patterns get non-zero coefficients,
+    # so a pattern list kept from an earlier row would drop patterns
     @pytest.mark.parametrize("order", [(0.5, 1.0, 0.5, 0.0, 0.5), (1.0, 0.5, 0.0, 0.5)],
                              ids=["from-0.5", "from-1"])
     @pytest.mark.parametrize("device", ["number", "pol"])
@@ -305,8 +308,10 @@ class TestReferenceReweight:
         state, detected = conditioned_state(DEVICES["pol"][0])
         table = pattern_table(state, detected)
         det = DetectorModel(1e-160)
-        # every coefficient is non-zero, so patterns are live ...
-        assert table.live([povm_element(1, det, table.top)] * 4)
+        # every coefficient at n >= 1 is non-zero, and some pattern has no
+        # empty channel ...
+        assert all(povm_element(1, det, table.top)[1:])
+        assert any(all(pattern) for pattern in table.patterns)
         # ... but each product of four is below the smallest denormal
         prob, out = reweight(table, (1, 1, 1, 1), det)
         assert (prob, out.branches) == (0.0, ())
@@ -471,3 +476,11 @@ class TestClosedFormFidelity:
             closed_form_fidelity(-1.0, 0.5)
         with pytest.raises(ValueError):
             closed_form_fidelity(1.0, 1.5)
+
+    @pytest.mark.parametrize("gamma, eta2", [(3e307, 0.5), (3e307, 1.0), (1e308, 0.75)])
+    def test_overflowing_term_raises(self, gamma, eta2):
+        with pytest.raises(ValueError, match="overflows"):
+            closed_form_fidelity(gamma, math.sqrt(eta2))
+
+    def test_large_finite_terms_still_evaluate(self):
+        assert closed_form_fidelity(1e300, math.sqrt(0.5)) == pytest.approx(5 / 11)

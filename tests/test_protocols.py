@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qndsim.detection import IDEAL, DetectorModel, PatternTable
-from qndsim.fock import Channel, FockState
+from qndsim.detection import (
+    IDEAL,
+    DetectorModel,
+    PatternTable,
+    TargetOverlaps,
+    pattern_table,
+    reweight,
+)
+from qndsim.fock import Channel, FockState, MixedState, tensor
+from qndsim.optics import BeamSplitterSpec, apply, beam_splitter, compose
 from qndsim.protocols import (
     KerrStrengthParams,
     NumberInputSpec,
@@ -13,6 +21,7 @@ from qndsim.protocols import (
     kerr_qnd,
     kerr_tau,
     noon_bound,
+    number_device_transform,
     number_qnd,
     pdc_state,
     pol_device_transform,
@@ -114,6 +123,36 @@ class TestEvolvedDevice:
         device = protocols.EvolvedDevice(table, (1,), FockState.basis((b,), (1,)))
         with pytest.raises(ValueError, match="NaN"):
             device.outcome()
+
+
+def splitter_chain(transmission):
+    """Reference: the four-mode network as the three splitters it is made of."""
+    a, b, c, d = (Channel(name) for name in "abcd")
+    spec = BeamSplitterSpec(transmission)
+    net = beam_splitter(BeamSplitterSpec(0.5), c, d)
+    net = compose(net, beam_splitter(spec, c, a))
+    net = compose(net, beam_splitter(spec, d, b))
+    return net.embedded((a, b, c, d))
+
+
+def exact_matrix(t):
+    """Channels, then every entry's two float parts as exact bits."""
+    return t.channels, [(z.real.hex(), z.imag.hex()) for z in t.matrix.ravel().tolist()]
+
+
+class TestNumberDeviceTransform:
+    @pytest.mark.parametrize("transmission", [
+        0.0, 1e-12, 1 / 3, 0.37, 0.5, 1 - 1e-12, 1.0,
+        *np.random.default_rng(19).random(40).tolist(),
+    ])
+    def test_matches_splitter_chain_bit_for_bit(self, transmission):
+        assert exact_matrix(number_device_transform(transmission)) == exact_matrix(
+            splitter_chain(transmission))
+
+    @pytest.mark.parametrize("transmission", [math.nan, -0.1, 1.5, math.inf])
+    def test_bad_transmission_rejected(self, transmission):
+        with pytest.raises(ValueError, match="transmission out of range"):
+            number_device_transform(transmission)
 
 
 class TestNumberQnd:
@@ -221,6 +260,11 @@ class TestPolFidelityApprox:
         assert pol_fidelity_approx(0.0, eta) == pytest.approx(0.9858, abs=5e-5)
         assert pol_fidelity_approx(1.0, eta) == pytest.approx(0.9467, abs=5e-5)
 
+    @pytest.mark.parametrize("gamma, eta2", [(1.7e308, 1.0), (1.7e308, 0.5), (1e308, 0.0)])
+    def test_overflowing_term_raises(self, gamma, eta2):
+        with pytest.raises(ValueError, match="overflows"):
+            pol_fidelity_approx(gamma, math.sqrt(eta2))
+
 
 class TestPdcState:
     def test_small_epsilon_is_nearly_vacuum(self):
@@ -282,6 +326,74 @@ class TestTeleportPol:
     def test_output_channels(self):
         out = teleport_pol_qnd(PURE_ONE, PolarizationAngle.diagonal(), PdcSourceSpec(0.1))
         assert out.target.channels == Mode("p2", polarized=True).channels
+
+
+def teleport_by_reweight(input_amps, src, target_amps):
+    """Reference: the partial Bell analyzer as six `reweight` calls with ideal
+    detectors, one per accepted pattern."""
+    signal = FockState(protocols._TS.channels, input_amps)
+    state = tensor(signal, pdc_state(src, (protocols._TP1, protocols._TP2)))
+    state = apply(beam_splitter(BeamSplitterSpec(0.5), protocols._TS, protocols._TP1), state)
+    table = pattern_table(state, protocols._TS.channels + protocols._TP1.channels)
+    total, branches = 0.0, []
+    for pattern, correct in protocols._BELL_PATTERNS:
+        prob, out = reweight(table, pattern)
+        total += prob
+        for w, st in out.branches:
+            branches.append((w, protocols._sigma_z(st, protocols._TP2_V) if correct else st))
+    out = MixedState(tuple(branches))
+    target = FockState(protocols._TP2.channels, target_amps)
+    return protocols._outcome(total, out, TargetOverlaps(target), out.total_weight())
+
+
+def exact_protocol_outcome(outc):
+    """Probability, fidelity, then each branch's weight and amplitudes, as bits."""
+    return (outc.success_probability.hex(), outc.fidelity.hex(), [
+        (w.hex(), [(occ, a.real.hex(), a.imag.hex()) for occ, a in st.amplitudes.items()])
+        for w, st in outc.conditional_output.branches])
+
+
+def seeded_teleport_cases(count):
+    """(input, angle, source) triples: fixed edge inputs, then seeded random ones."""
+    rng = np.random.default_rng(47)
+    edges = [PURE_ONE, PURE_TWO, NumberInputSpec(1.0, 0.0, 0.0)]
+    for i in range(count):
+        if i < len(edges):
+            spec = edges[i]
+        else:
+            c = rng.normal(size=3) + 1j * rng.normal(size=3)
+            c /= np.linalg.norm(c)
+            spec = NumberInputSpec(*c.tolist())
+        angle = PolarizationAngle.from_bloch(*(rng.random(2) * [math.pi, 2 * math.pi]))
+        yield spec, angle, PdcSourceSpec(float(rng.uniform(1e-3, 0.9)))
+
+
+class TestTeleportLookups:
+    """The analyzer reads its six ideal patterns straight from the table."""
+
+    @pytest.mark.parametrize("device", ["number", "pol"])
+    def test_matches_six_reweight_calls_bit_for_bit(self, monkeypatch, device):
+        cases = list(seeded_teleport_cases(40))
+        if device == "number":
+            run = teleport_number_qnd
+            expected = [teleport_by_reweight(
+                {(0, 0): spec.c0, (1, 0): spec.c1, (2, 0): spec.c2}, src, {(1, 0): 1.0})
+                for spec, _, src in cases]
+            calls = [(spec, src) for spec, _, src in cases]
+        else:
+            run = teleport_pol_qnd
+            expected = [teleport_by_reweight(
+                protocols._pol_input_amplitudes(spec, angle), src,
+                {(1, 0): angle.alpha, (0, 1): angle.beta})
+                for spec, angle, src in cases]
+            calls = cases
+
+        def no_reweight(*args):
+            raise AssertionError("teleport called reweight")
+
+        monkeypatch.setattr(protocols, "reweight", no_reweight)
+        for args, ref in zip(calls, expected):
+            assert exact_protocol_outcome(run(*args)) == exact_protocol_outcome(ref), args
 
 
 class TestTeleportNumber:
