@@ -8,6 +8,7 @@ phase gate is not a linear mode transform and acts directly on amplitudes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -292,8 +293,10 @@ def kerr_gate(
         if c not in state.channels:
             raise ModeMismatchError(f"channel {c} not in state")
     ia, ib = state.channels.index(ca), state.channels.index(cb)
-    amps = {
-        occ: amp * complex(np.exp(-1j * spec.tau * occ[ia] * occ[ib]))
-        for occ, amp in state.amplitudes.items()
-    }
+    amps = {}
+    for occ, amp in state.amplitudes.items():
+        phase = -1j * spec.tau * occ[ia] * occ[ib]
+        if not cmath.isfinite(phase):
+            raise ValueError(f"cross phase tau*n_a*n_b overflows at {occ}, tau={spec.tau}")
+        amps[occ] = amp * cmath.exp(phase)
     return FockState(state.channels, amps)

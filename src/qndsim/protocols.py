@@ -17,6 +17,7 @@ parameters, and the noon-state phase-resolution bound.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ from .detection import (
     pattern_table,
     reweight,
 )
-from .fock import Channel, FockState, MixedState, Mode, tensor
+from .fock import Channel, FockState, MixedState, Mode
 from .optics import (
     BeamSplitterSpec,
     ModeTransform,
@@ -112,7 +113,7 @@ class PolarizationAngle:
     def from_bloch(cls, theta: float, phi: float = 0.0) -> "PolarizationAngle":
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError(f"Bloch angles must be finite, got theta={theta}, phi={phi}")
-        return cls(math.cos(theta / 2.0), complex(np.exp(1j * phi)) * math.sin(theta / 2.0))
+        return cls(math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0))
 
     @classmethod
     def diagonal(cls) -> "PolarizationAngle":
@@ -368,6 +369,8 @@ _TP2 = Mode("p2", polarized=True)  # distant pair arm (the output)
 _TS_H, _TS_V = _TS.channels
 _TP1_H, _TP1_V = _TP1.channels
 _TP2_H, _TP2_V = _TP2.channels
+_TELEPORT_CHANNELS = _TS.channels + _TP1.channels + _TP2.channels
+_TELEPORT_BS = beam_splitter(BeamSplitterSpec(0.5), _TS, _TP1).embedded(_TELEPORT_CHANNELS)
 
 # Accepted partial-Bell-analyzer signatures over (in.H, in.V, p1.H, p1.V)
 # after the 50:50 beam splitter, and whether a sigma_z correction is applied
@@ -417,9 +420,17 @@ def _teleport(
     target_amps: dict[tuple[int, int], complex],
 ) -> ProtocolOutcome:
     signal = FockState(_TS.channels, input_amps)
-    state = tensor(signal, pdc_state(src, (_TP1, _TP2)))
-    bs = beam_splitter(BeamSplitterSpec(0.5), _TS, _TP1)
-    state = apply(bs, state)
+    pair = pdc_state(src, (_TP1, _TP2))
+    # the splitter keeps the photon number of (in, p1) and every Bell pattern
+    # holds two photons there, so only the input kets with two photons on
+    # (in, p1) can herald: expand the tensor product's two-photon sector alone
+    amps = {
+        occ_s + occ_p: amp_s * amp_p
+        for occ_s, amp_s in signal.amplitudes.items()
+        for occ_p, amp_p in pair.amplitudes.items()
+        if sum(occ_s) + occ_p[0] + occ_p[1] == 2
+    }
+    state = apply(_TELEPORT_BS, FockState(_TELEPORT_CHANNELS, amps))
     table = pattern_table(state, (_TS_H, _TS_V, _TP1_H, _TP1_V))
 
     # an ideal detector's coefficient is 1.0 at its reading and 0.0 elsewhere,
@@ -472,6 +483,11 @@ def teleport_pol_qnd(
 _K_P = Channel("probe")
 _K_W = Channel("arm")
 _K_S = Channel("signal")
+_KERR_CHANNELS = (_K_P, _K_W, _K_S)
+_KERR_BS = beam_splitter(BeamSplitterSpec(0.5), _K_P, _K_W).embedded(_KERR_CHANNELS)
+# success readings per detected channel: the constructive arm (D1) is `arm`,
+# the pi-shifted port (D2) is `probe`
+_KERR_SUCCESS = {_K_P: 1, _K_W: 0}
 
 
 def kerr_qnd(
@@ -485,19 +501,17 @@ def kerr_qnd(
     D1 click) heralds an odd signal photon number.  Success signature:
     D2 -> 1, D1 -> 0; the signal mode is kept, target |1>.
     """
-    channels = (_K_P, _K_W, _K_S)
     amps = {
         (1, 0, 0): input.c0,
         (1, 0, 1): input.c1,
         (1, 0, 2): input.c2,
     }
-    state = FockState(channels, amps)
-    half = BeamSplitterSpec(0.5)
-    state = apply(beam_splitter(half, _K_P, _K_W), state)
+    state = FockState(_KERR_CHANNELS, amps)
+    state = apply(_KERR_BS, state)
     state = kerr_gate(KerrGateSpec(tau), _K_W, _K_S, state)
-    state = apply(beam_splitter(half, _K_P, _K_W), state)
-    # constructive arm (D1) is `arm`, the pi-shifted port (D2) is `probe`
-    prob, out = condition(state, {_K_P: 1, _K_W: 0}, det)
+    # a reading of k photons needs k photons: expand only kets that can herald
+    state = apply(_KERR_BS, state, _KERR_SUCCESS)
+    prob, out = condition(state, _KERR_SUCCESS, det)
     target = FockState.basis((_K_S,), (1,))
     return _outcome(prob, out, TargetOverlaps(target))
 

@@ -177,6 +177,33 @@ class TestKerrGate:
         assert out.norm() == pytest.approx(1.0)
         assert set(out.amplitudes) == set(psi.amplitudes)
 
+    def test_matches_numpy_exp_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        taus = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, 1e300]
+        taus += rng.uniform(-50.0, 50.0, 40).tolist() + rng.uniform(-1e6, 1e6, 20).tolist()
+        # every occupation pair up to 4 photons per channel
+        psi = FockState((A, B), {(na, nb): complex(rng.standard_normal(), rng.standard_normal())
+                                 for na in range(5) for nb in range(5)})
+        for tau in taus:
+            spec = KerrGateSpec(tau)
+            assert exact_items(kerr_gate(spec, A, B, psi).amplitudes) == exact_items(
+                numpy_exp_kerr_gate(spec, A, B, psi).amplitudes), tau
+
+    def test_overflowing_phase_raises(self):
+        psi = FockState((A, B), {(1, 1): 0.6, (2, 2): 0.8})
+        with pytest.raises(ValueError, match="cross phase"):
+            kerr_gate(KerrGateSpec(1e308), A, B, psi)
+        # the same tau passes while tau * n_a * n_b stays finite
+        kerr_gate(KerrGateSpec(1e308), A, B, FockState.basis((A, B), (1, 1)))
+
+
+def numpy_exp_kerr_gate(spec, a, b, state):
+    """Reference: `kerr_gate` with numpy's complex exp, as the code once had it."""
+    ia, ib = state.channels.index(a), state.channels.index(b)
+    return FockState(state.channels, {
+        occ: amp * complex(np.exp(-1j * spec.tau * occ[ia] * occ[ib]))
+        for occ, amp in state.amplitudes.items()})
+
 
 class TestComposeApply:
     def test_identity_neutral(self):

@@ -8,11 +8,19 @@ from qndsim.detection import (
     DetectorModel,
     PatternTable,
     TargetOverlaps,
+    condition,
     pattern_table,
     reweight,
 )
 from qndsim.fock import Channel, FockState, MixedState, tensor
-from qndsim.optics import BeamSplitterSpec, apply, beam_splitter, compose
+from qndsim.optics import (
+    BeamSplitterSpec,
+    KerrGateSpec,
+    apply,
+    beam_splitter,
+    compose,
+    kerr_gate,
+)
 from qndsim.protocols import (
     KerrStrengthParams,
     NumberInputSpec,
@@ -109,6 +117,14 @@ class TestInputSpecs:
     def test_non_finite_bloch_angles_rejected(self, theta, phi):
         with pytest.raises(ValueError, match="Bloch angles must be finite"):
             PolarizationAngle.from_bloch(theta, phi)
+
+    def test_from_bloch_matches_numpy_exp_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        phis = [0.0, -0.0, math.pi, -math.pi, 1e-300, 1e300] + rng.uniform(-50, 50, 200).tolist()
+        for theta, phi in zip(rng.uniform(0.0, math.pi, len(phis)).tolist(), phis):
+            beta = PolarizationAngle.from_bloch(theta, phi).beta
+            ref = complex(np.exp(1j * phi)) * math.sin(theta / 2.0)
+            assert (beta.real.hex(), beta.imag.hex()) == (ref.real.hex(), ref.imag.hex()), phi
 
     def test_pdc_source(self):
         with pytest.raises(ValueError):
@@ -396,6 +412,29 @@ class TestTeleportLookups:
             assert exact_protocol_outcome(run(*args)) == exact_protocol_outcome(ref), args
 
 
+class TestTeleportSector:
+    """Only the input kets with two photons on (in, p1) can herald."""
+
+    def test_every_bell_pattern_holds_two_photons(self):
+        assert all(sum(pattern) == 2 for pattern, _ in protocols._BELL_PATTERNS)
+
+    @pytest.mark.parametrize("device, kets", [("number", 3), ("pol", 7)])
+    def test_apply_receives_the_two_photon_sector(self, monkeypatch, device, kets):
+        seen = []
+
+        def counting_apply(t, state, floor=None):
+            seen.append(len(state.amplitudes))
+            return apply(t, state, floor)
+
+        monkeypatch.setattr(protocols, "apply", counting_apply)
+        spec, src = NumberInputSpec(0.6, 0.48, 0.64), PdcSourceSpec(0.3)
+        if device == "number":
+            teleport_number_qnd(spec, src)
+        else:
+            teleport_pol_qnd(spec, PolarizationAngle.from_bloch(1.1, 0.4), src)
+        assert seen == [kets]
+
+
 class TestTeleportNumber:
     def test_single_photon_component_teleports(self):
         out = teleport_number_qnd(PURE_ONE, PdcSourceSpec(0.01))
@@ -444,6 +483,41 @@ class TestKerrQnd:
         out = kerr_qnd(NumberInputSpec(s, s, s), math.pi, DetectorModel(0.88))
         assert out.success_probability == pytest.approx(0.88 / 3, abs=1e-12)
         assert out.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+K_P, K_W, K_S = Channel("probe"), Channel("arm"), Channel("signal")
+
+
+def kerr_unheralded(input, tau, det):
+    """Reference: the Kerr device with its 50:50 splitters built on every call
+    and the whole output evolved, conditioned as before."""
+    state = FockState((K_P, K_W, K_S), {
+        (1, 0, 0): input.c0, (1, 0, 1): input.c1, (1, 0, 2): input.c2})
+    half = BeamSplitterSpec(0.5)
+    state = apply(beam_splitter(half, K_P, K_W), state)
+    state = kerr_gate(KerrGateSpec(tau), K_W, K_S, state)
+    state = apply(beam_splitter(half, K_P, K_W), state)
+    prob, out = condition(state, {K_P: 1, K_W: 0}, det)
+    return protocols._outcome(prob, out, TargetOverlaps(FockState.basis((K_S,), (1,))))
+
+
+class TestKerrHerald:
+    """The second splitter expands only the kets with the probe photon at D2."""
+
+    @pytest.mark.parametrize("counting", [True, False], ids=["counting", "threshold"])
+    def test_matches_full_evolution_bit_for_bit(self, counting):
+        rng = np.random.default_rng(83)
+        specs = [PURE_ONE, PURE_TWO, NumberInputSpec(1.0, 0.0, 0.0)]
+        for _ in range(12):
+            c = rng.normal(size=3) + 1j * rng.normal(size=3)
+            specs.append(NumberInputSpec(*(c / np.linalg.norm(c)).tolist()))
+        taus = [0.0, math.pi, 2 * math.pi] + rng.uniform(-10.0, 10.0, 3).tolist()
+        for eta2 in (0.0, 5e-324, 1e-160, 0.5, 1.0):
+            det = DetectorModel(eta2, counting)
+            for spec in specs:
+                for tau in taus:
+                    assert exact_protocol_outcome(kerr_qnd(spec, tau, det)) == (
+                        exact_protocol_outcome(kerr_unheralded(spec, tau, det))), (spec, tau, eta2)
 
 
 class TestCalculators:
