@@ -20,8 +20,8 @@ REPRODUCIBLE = settings(derandomize=True, database=None, max_examples=150, deadl
 
 @st.composite
 def transform_and_state(draw):
-    """A random unitary on a subset of 2-4 channels and a state of up to six
-    kets with at most two photons per channel."""
+    """A random unitary on some of 2-4 channels (a phase on one of them) and a
+    state of up to six kets with at most two photons per channel."""
     n_ch = draw(st.integers(2, 4))
     channels = tuple(Channel(f"m{i}") for i in range(n_ch))
     acted = draw(st.lists(st.sampled_from(channels), min_size=1, max_size=n_ch, unique=True))
@@ -42,6 +42,7 @@ def sector(state: FockState, channels, photons: int) -> dict:
 
 
 def sector_norms(state: FockState, channels) -> dict:
+    """Squared norm of each sector of `state`, by photon number on `channels`."""
     idx = [state.channels.index(c) for c in channels]
     norms: dict[int, list[float]] = {}
     for occ, a in state.amplitudes.items():
@@ -65,13 +66,13 @@ def test_restricting_a_sector_commutes_with_apply(case):
 @REPRODUCIBLE
 @given(transform_and_state())
 def test_apply_preserves_norm_and_photon_number(case):
+    """The norm of each photon-number sector is kept: of all channels, of the
+    transform's channels and of the channels it leaves alone."""
     t, state = case
     out = apply(t, state)
-    assert {sum(occ) for occ in out.amplitudes} <= {sum(occ) for occ in state.amplitudes}
     untouched = [c for c in state.channels if c not in t.channels]
     for channels in (t.channels, state.channels, untouched):
         before, after = sector_norms(state, channels), sector_norms(out, channels)
         assert after.keys() <= before.keys()
         for photons, norm in before.items():
             assert math.isclose(after.get(photons, 0.0), norm, rel_tol=1e-12, abs_tol=1e-12)
-    assert math.isclose(out.norm_squared(), state.norm_squared(), rel_tol=1e-12, abs_tol=1e-12)
