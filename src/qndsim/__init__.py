@@ -9,7 +9,6 @@ from .fock import (
     TruncationError,
     apply_creation,
     inner_product,
-    partial_trace_keep,
     tensor,
 )
 from .optics import (

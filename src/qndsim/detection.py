@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .fock import (
     Channel,
@@ -19,7 +20,6 @@ from .fock import (
     MixedState,
     ModeMismatchError,
     as_channels,
-    group_by_pattern,
     inner_product,
 )
 
@@ -57,7 +57,11 @@ def povm_element(k: int, det: DetectorModel, n_max: int) -> tuple[float, ...]:
     if k == 0:
         return tuple(loss**n for n in range(n_max + 1))
     if k == 1:
-        return tuple(1.0 - loss**n for n in range(n_max + 1))
+        # 1 - loss**n cancels at small e; expm1 and log1p do not
+        if e == 1.0:  # log1p(-1) raises
+            return tuple(float(n > 0) for n in range(n_max + 1))
+        log_loss = math.log1p(-e)
+        return tuple(-math.expm1(n * log_loss) for n in range(n_max + 1))
     raise ValueError("threshold detectors only support readings 0 and 1")
 
 
@@ -94,12 +98,23 @@ class PatternTable:
         return st
 
 
+def _picker(idx: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Function taking an occupation tuple to its entries at `idx`, as a tuple."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda occ: (occ[i],)
+    return itemgetter(*idx) if idx else lambda occ: ()
+
+
 def pattern_table(
     state: FockState, detected_channels: Iterable[ChannelLike]
 ) -> PatternTable:
     """Bucket `state` by its occupations of `detected_channels`; evolves nothing.
 
-    Patterns keep the order of their first appearance in the support.
+    Patterns keep the order of their first appearance in the support.  The
+    detected and kept channels partition the state's, so each ket fills one
+    (pattern, kept occupation) slot, and every pattern's mass is above the
+    cutoff `FockState` applies to each ket.
     """
     chans = state.channels
     detected = as_channels(detected_channels)
@@ -107,9 +122,15 @@ def pattern_table(
         if c not in chans:
             raise ModeMismatchError(f"detected channel {c} not in state")
     kept = tuple(c for c in chans if c not in detected)
-    patterns = group_by_pattern(
-        state, [chans.index(c) for c in detected], [chans.index(c) for c in kept]
-    )
+    pattern_of = _picker([chans.index(c) for c in detected])
+    kept_of = _picker([chans.index(c) for c in kept])
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    for occ, a in state.amplitudes.items():
+        groups.setdefault(pattern_of(occ), {})[kept_of(occ)] = a
+    patterns = {
+        pattern: (math.fsum(abs(a) ** 2 for a in amps.values()), amps)
+        for pattern, amps in groups.items()
+    }
     return PatternTable(detected, kept, patterns)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 NORM_TOL = 1e-12
 
@@ -98,8 +97,10 @@ class FockState:
         chans = as_channels(channels)
         width = len(chans)
         amps: dict[tuple[int, ...], complex] = {}
-        for occ, a in amplitudes.items():
-            occ = tuple(map(int, occ))
+        for key, a in amplitudes.items():
+            occ = tuple(map(int, key))
+            if occ != tuple(key):
+                raise ValueError(f"occupation {key!r} is not a tuple of integers")
             if len(occ) != width:
                 raise ModeMismatchError(
                     f"occupation {occ} has {len(occ)} entries for {width} channels"
@@ -140,9 +141,6 @@ class FockState:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_squared() - 1.0) < tol
 
     def amplitude(self, occupation: Sequence[int]) -> complex:
         return self.amplitudes.get(tuple(occupation), 0.0 + 0.0j)
@@ -234,10 +232,6 @@ class MixedState:
             elif st.channels != chans:
                 raise ModeMismatchError("branches live on different channels")
 
-    @classmethod
-    def from_pure(cls, state: FockState, weight: float = 1.0) -> "MixedState":
-        return cls(((weight, state),))
-
     @property
     def channels(self) -> tuple[Channel, ...]:
         if not self.branches:
@@ -252,65 +246,3 @@ class MixedState:
         if total <= 0.0:
             raise ValueError("cannot renormalize zero-weight ensemble")
         return MixedState(tuple((w / total, st) for w, st in self.branches))
-
-
-def _picker(idx: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Function taking an occupation tuple to its entries at `idx`, as a tuple."""
-    if len(idx) == 1:
-        (i,) = idx
-        return lambda occ: (occ[i],)
-    return itemgetter(*idx) if idx else lambda occ: ()
-
-
-def group_by_pattern(
-    state: FockState, pattern_idx: Sequence[int], kept_idx: Sequence[int]
-) -> dict[tuple[int, ...], tuple[float, dict[tuple[int, ...], complex]]]:
-    """Bucket the support by the occupations at `pattern_idx`.
-
-    Maps each pattern, in order of first appearance, to (mass, amplitudes on
-    the `kept_idx` channels); patterns of numerically dead mass are dropped.
-    A partial trace and a Fock-diagonal measurement both reduce to this.
-    """
-    pattern_of, kept_of = _picker(pattern_idx), _picker(kept_idx)
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for occ, a in state.amplitudes.items():
-        pattern = pattern_of(occ)
-        kept_occ = kept_of(occ)
-        bucket = groups.setdefault(pattern, {})
-        bucket[kept_occ] = bucket.get(kept_occ, 0.0 + 0.0j) + a
-    table = {}
-    for pattern, amps in groups.items():
-        mass = math.fsum(abs(a) ** 2 for a in amps.values())
-        if mass > _PRUNE_TOL:
-            table[pattern] = (mass, amps)
-    return table
-
-
-def partial_trace_keep(
-    rho: MixedState | FockState, keep: Iterable[ChannelLike]
-) -> MixedState:
-    """Trace out everything but `keep`; total weight is preserved.
-
-    Branches split per discarded-channel occupation pattern; coherence between
-    different discarded patterns is lost, which is exact for the diagonal
-    measurements used throughout.
-    """
-    if isinstance(rho, FockState):
-        rho = MixedState.from_pure(rho)
-    kept = as_channels(keep)
-    if not kept:
-        raise ValueError("keep list must not be empty")
-    chans = rho.channels
-    for c in kept:
-        if c not in chans:
-            raise ModeMismatchError(f"channel {c} not in state")
-    keep_idx = [chans.index(c) for c in kept]
-    drop_idx = [i for i in range(len(chans)) if chans[i] not in kept]
-
-    out: list[tuple[float, FockState]] = []
-    for weight, state in rho.branches:
-        for mass, amps in group_by_pattern(state, drop_idx, keep_idx).values():
-            branch = FockState(kept, amps).normalized()
-            out.append((weight * mass, branch))
-    return MixedState(tuple(out))
-

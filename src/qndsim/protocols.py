@@ -297,6 +297,9 @@ def pol_device_transform() -> ModeTransform:
     return matrix_transform(_POL_CHANNELS, np.array(cols).T)
 
 
+_POL_TRANSFORM = pol_device_transform()
+
+
 def _pol_input_amplitudes(
     input: NumberInputSpec, theta: PolarizationAngle
 ) -> dict[tuple[int, int], complex]:
@@ -327,7 +330,7 @@ def pol_device(input: NumberInputSpec, theta: PolarizationAngle) -> EvolvedDevic
     }
     state = FockState(_POL_CHANNELS, amps)
     # a reading of k photons needs k photons: expand only kets that can herald
-    state = apply(pol_device_transform(), state, _POL_SUCCESS)
+    state = apply(_POL_TRANSFORM, state, _POL_SUCCESS)
     target = FockState((_P_AH, _P_AV), {(1, 0): theta.alpha, (0, 1): theta.beta})
     table = pattern_table(state, _POL_SUCCESS)
     return EvolvedDevice(table, tuple(_POL_SUCCESS.values()), target)

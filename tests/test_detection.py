@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from qndsim.fock import (
     FockState,
     MixedState,
     ModeMismatchError,
-    partial_trace_keep,
     tensor,
 )
 from qndsim.optics import BeamSplitterSpec, apply, beam_splitter
@@ -100,6 +100,14 @@ class TestPovmElement:
             assert no_click[n] + click[n] == pytest.approx(1.0)
         with pytest.raises(ValueError):
             povm_element(2, det, n_max=3)
+
+    @pytest.mark.parametrize("e", [1e-12, 1e-17, 0.0, 1.0])
+    def test_threshold_click_exact_at_extreme_efficiencies(self, e):
+        click = povm_element(1, DetectorModel(e, resolves_photon_number=False), n_max=6)
+        for n, c in enumerate(click):
+            exact = float(1 - (1 - Fraction(e)) ** n)
+            assert c == pytest.approx(exact, rel=1e-15, abs=0.0)
+            assert math.copysign(1.0, c) == 1.0  # +0.0 where nothing can click
 
 
 def heralded_state(transmission=0.5, c=(0.0, 1.0, 0.0)):
@@ -208,14 +216,19 @@ class TestPatternTable:
             assert out.branches == ()
 
     def test_partial_trace_is_unit_povm_conditioning(self):
+        # ideal projectors: the reading equal to a pattern keeps that pattern
+        # alone, with its mass as probability, and the masses sum to one
         rng = np.random.default_rng(31)
         for _ in range(20):
             psi = random_state(rng, (A, B, C), 2, 3)
             table = pattern_table(psi, (A, C))
-            rho = partial_trace_keep(psi, (B,))
-            assert [w for w, _ in rho.branches] == [m for m, _ in table.patterns.values()]
-            for (_, st), pattern in zip(rho.branches, table.patterns):
+            for pattern, (mass, _) in table.patterns.items():
+                prob, out = condition(psi, dict(zip((A, C), pattern)))
+                ((w, st),) = out.branches
+                assert prob == w == mass
                 assert st.amplitudes == table.branch(pattern).amplitudes
+            total = math.fsum(m for m, _ in table.patterns.values())
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def full_scan_reweight(table, readings, det=IDEAL):
@@ -409,7 +422,7 @@ class TestLossAncillaOracle:
 class TestFidelity:
     def test_pure_match(self):
         one = FockState.basis((A,), (1,))
-        assert fidelity(MixedState.from_pure(one), one) == pytest.approx(1.0)
+        assert fidelity(MixedState(((1.0, one),)), one) == pytest.approx(1.0)
 
     def test_classical_mixture(self):
         f = 0.37

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qndsim.detection import pattern_table
 from qndsim.fock import (
     Channel,
     FockState,
@@ -12,7 +13,6 @@ from qndsim.fock import (
     TruncationError,
     apply_creation,
     inner_product,
-    partial_trace_keep,
     tensor,
 )
 
@@ -56,16 +56,26 @@ class TestFockState:
 
     @pytest.mark.parametrize(
         "occ, error",
-        [((1,), ModeMismatchError), ((1, 0, 0), ModeMismatchError), ((0, -1), ValueError)],
+        [
+            ((1,), ModeMismatchError),
+            ((1, 0, 0), ModeMismatchError),
+            ((0, -1), ValueError),
+            ((1.5, 0), ValueError),
+            (("1", 0), ValueError),
+        ],
     )
     def test_malformed_occupation_rejected(self, occ, error):
         with pytest.raises(error):
             FockState((A, B), {occ: 1.0})
+        # not truncated into, and merged with, a valid key
+        with pytest.raises(error):
+            FockState((A, B), {occ: 0.6, (1, 0): 0.8})
 
     def test_occupations_become_int_tuples(self):
         st = FockState((A, B), {(np.int64(1), np.int64(0)): 1.0, (np.int64(0), True): 1.0})
         assert list(st.amplitudes) == [(1, 0), (0, 1)]
         assert all(type(n) is int for occ in st.amplitudes for n in occ)
+        assert FockState((A, B), {(1.0, 0): 1.0}).amplitudes == {(1, 0): 1.0}
         assert FockState((), {(): 2.0}).amplitudes == {(): 2.0}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
@@ -80,7 +90,7 @@ class TestFockState:
 
     def test_normalized(self):
         st = FockState((A,), {(0,): 3.0, (1,): 4.0}).normalized()
-        assert st.is_normalized()
+        assert st.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert st.amplitude((0,)) == pytest.approx(0.6)
 
 
@@ -161,53 +171,53 @@ class TestInnerProduct:
 
 
 class TestPartialTrace:
+    """Tracing out detected channels, as `detection.pattern_table` does: one
+    branch per detected pattern, weighted by the pattern's mass."""
+
     def test_product_state(self):
-        rho = partial_trace_keep(FockState.basis((A, B), (1, 0)), (A,))
-        assert rho.total_weight() == pytest.approx(1.0)
-        (w, st), = rho.branches
-        assert st.amplitude((1,)) == pytest.approx(1.0)
+        table = pattern_table(FockState.basis((A, B), (1, 0)), (B,))
+        assert [m for m, _ in table.patterns.values()] == pytest.approx([1.0])
+        assert table.branch((0,)).amplitude((1,)) == pytest.approx(1.0)
 
     def test_bell_like_state(self):
         s = 1 / math.sqrt(2)
         psi = FockState((A, B), {(1, 0): s, (0, 1): s})
-        rho = partial_trace_keep(psi, (A,))
-        weights = sorted(w for w, _ in rho.branches)
+        weights = sorted(m for m, _ in pattern_table(psi, (B,)).patterns.values())
         assert weights == pytest.approx([0.5, 0.5])
 
     def test_weight_preserved_random(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             psi = random_state(rng, (A, B), 2, 3)
-            rho = partial_trace_keep(psi, (B,))
-            assert abs(rho.total_weight() - 1.0) < 1e-12
+            table = pattern_table(psi, (A,))
+            assert abs(math.fsum(m for m, _ in table.patterns.values()) - 1.0) < 1e-12
 
     def test_tensor_then_trace_recovers_factor(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             psi = random_state(rng, (A,), 3, 3)
             phi = random_state(rng, (B,), 3, 3)
-            rho = partial_trace_keep(tensor(psi, phi), (A,))
-            # product input: a single branch equal to psi up to phase
-            assert rho.total_weight() == pytest.approx(1.0)
+            table = pattern_table(tensor(psi, phi), (B,))
+            # product input: every branch equals psi up to phase
+            assert math.fsum(m for m, _ in table.patterns.values()) == pytest.approx(1.0)
             total = sum(
-                w * abs(inner_product(psi, st)) ** 2 for w, st in rho.branches
+                m * abs(inner_product(psi, table.branch(p))) ** 2
+                for p, (m, _) in table.patterns.items()
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_keep_all_one_or_two_of_three_channels(self):
         psi = FockState((A, B, C), {(1, 0, 2): 0.6, (0, 1, 2): 0.8})
-        (w, st), = partial_trace_keep(psi, (A, B, C)).branches
-        assert w == pytest.approx(1.0)
-        assert st.amplitudes == psi.amplitudes
-        rho = partial_trace_keep(psi, (C,))
-        assert [w for w, _ in rho.branches] == pytest.approx([0.36, 0.64])
-        assert [st.amplitudes for _, st in rho.branches] == [{(2,): 1.0}] * 2
-        (w, st), = partial_trace_keep(psi, (A, B)).branches
-        assert st.amplitudes == {(1, 0): 0.6, (0, 1): 0.8}
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace_keep(FockState.vacuum((A, B)), ())
+        ((pattern, (mass, amps)),) = pattern_table(psi, ()).patterns.items()
+        assert pattern == ()
+        assert mass == pytest.approx(1.0)
+        assert amps == psi.amplitudes
+        table = pattern_table(psi, (A, B))
+        assert [m for m, _ in table.patterns.values()] == pytest.approx([0.36, 0.64])
+        assert [table.branch(p).amplitudes for p in table.patterns] == [{(2,): 1.0}] * 2
+        ((pattern, (_, amps)),) = pattern_table(psi, (C,)).patterns.items()
+        assert pattern == (2,)
+        assert amps == {(1, 0): 0.6, (0, 1): 0.8}
 
 
 class TestMixedState:

@@ -1,21 +1,32 @@
-"""Property tests of `optics.apply` over generated states and transforms.
+"""Property tests of `optics.apply` and `detection.condition` over generated
+states, transforms and detectors.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
 """
 
+import itertools
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+from qndsim.detection import DetectorModel, condition
 from qndsim.fock import Channel, FockState
 from qndsim.optics import apply, matrix_transform
 
 from test_optics import exact_items
 
 REPRODUCIBLE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def kets(n_ch: int):
+    """Up to six amplitudes on `n_ch` channels, at most two photons per channel."""
+    part = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n_ch),
+        st.builds(complex, part, part), min_size=1, max_size=6)
 
 
 @st.composite
@@ -27,11 +38,20 @@ def transform_and_state(draw):
     acted = draw(st.lists(st.sampled_from(channels), min_size=1, max_size=n_ch, unique=True))
     seed = draw(st.integers(0, 2**32 - 1))
     u = unitary_group.rvs(len(acted), random_state=seed) if len(acted) > 1 else [[1j]]
-    part = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-    amps = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * n_ch),
-        st.builds(complex, part, part), min_size=1, max_size=6))
-    return matrix_transform(acted, u), FockState(channels, amps)
+    return matrix_transform(acted, u), FockState(channels, draw(kets(n_ch)))
+
+
+@st.composite
+def state_and_detector(draw):
+    """A normalized state of up to six kets on 2-4 channels, some of them
+    detected, and a detector model of either kind."""
+    n_ch = draw(st.integers(2, 4))
+    channels = tuple(Channel(f"m{i}") for i in range(n_ch))
+    state = FockState(channels, draw(kets(n_ch)))
+    assume(state.norm_squared() > 0.0)
+    detected = draw(st.lists(st.sampled_from(channels), min_size=1, max_size=n_ch, unique=True))
+    det = DetectorModel(draw(st.floats(0.0, 1.0)), draw(st.booleans()))
+    return state.normalized(), detected, det
 
 
 def sector(state: FockState, channels, photons: int) -> dict:
@@ -76,3 +96,16 @@ def test_apply_preserves_norm_and_photon_number(case):
         assert after.keys() <= before.keys()
         for photons, norm in before.items():
             assert math.isclose(after.get(photons, 0.0), norm, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@REPRODUCIBLE
+@given(state_and_detector())
+def test_condition_probabilities_sum_to_one(case):
+    """Over every tuple of readings the probabilities sum to 1: each POVM is
+    complete and every detected pattern is counted once."""
+    state, detected, det = case
+    # at most two photons per channel; a threshold detector reads 0 or 1
+    readings = range(3) if det.resolves_photon_number else range(2)
+    probs = [condition(state, dict(zip(detected, r)), det)[0]
+             for r in itertools.product(readings, repeat=len(detected))]
+    assert abs(math.fsum(probs) - 1.0) <= 1e-12
