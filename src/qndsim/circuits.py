@@ -20,8 +20,6 @@ from .optics import (
     BeamSplitterSpec,
     ModeTransform,
     beam_splitter,
-    compose,
-    identity_transform,
     matrix_transform,
     phase_shifter,
     polarization_rotator,
@@ -145,8 +143,10 @@ def parse_circuit(text: str) -> ModeTransform:
     if not modes:
         raise CircuitSyntaxError(1, "no modes declared")
     all_channels = [c for m in modes.values() for c in m.channels]
-    total = identity_transform(all_channels)
+    # compose's product, in its matmul order from the identity (a -0 that a
+    # golden prints depends on it); each element was checked by its builder,
+    # and the product is checked once, here
+    total = np.eye(len(all_channels), dtype=complex)
     for t in transforms:
-        total = compose(total, t)
-    # starting from the identity on every declared channel keeps their order
-    return total
+        total = t.embedded(all_channels).matrix @ total
+    return ModeTransform(all_channels, total)

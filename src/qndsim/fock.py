@@ -14,9 +14,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 NORM_TOL = 1e-12
 
-# amplitudes with |amp|^2 below this are dropped as numerically dead
-_PRUNE_TOL = 1e-30
-
 
 class ModeMismatchError(ValueError):
     """Channel/mode sets of two objects do not line up."""
@@ -93,12 +90,21 @@ class FockState:
         amplitudes: Mapping[Sequence[int], complex],
         n_max: int | None = None,
     ):
-        """`n_max`, if given, bounds every occupation, checked here only."""
+        """`n_max`, if given, bounds every occupation, checked here only.
+
+        The one validating constructor: amplitudes whose |a|^2 is 0 are
+        dropped, and NaN or infinite ones, or ones whose |a|^2 overflows,
+        rejected.  Kernels whose output meets these invariants by construction
+        build it with `_trusted` instead.
+        """
         chans = as_channels(channels)
         width = len(chans)
         amps: dict[tuple[int, ...], complex] = {}
         for key, a in amplitudes.items():
-            occ = tuple(map(int, key))
+            try:
+                occ = tuple(map(int, key))
+            except (OverflowError, ValueError):  # inf, NaN, a non-numeric string
+                occ = None
             if occ != tuple(key):
                 raise ValueError(f"occupation {key!r} is not a tuple of integers")
             if len(occ) != width:
@@ -110,11 +116,12 @@ class FockState:
             if n_max is not None and width and max(occ) > n_max:
                 raise TruncationError(f"occupation {occ} exceeds n_max={n_max}")
             a = complex(a)
-            mag = abs(a) ** 2
-            if _PRUNE_TOL < mag < math.inf:
+            size = abs(a)
+            mag = size * size  # overflows to inf where ** 2 would raise
+            if 0.0 < mag < math.inf:
                 amps[occ] = amps.get(occ, 0.0 + 0.0j) + a
-            elif not mag <= _PRUNE_TOL:  # NaN or infinite
-                raise ValueError(f"non-finite amplitude {a} at {occ}")
+            elif not mag <= 0.0:  # NaN or infinite
+                raise ValueError(f"non-finite amplitude {a} at {occ}: |a|^2 = {mag}")
         object.__setattr__(self, "channels", chans)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -122,6 +129,18 @@ class FockState:
         raise AttributeError("FockState is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(
+        cls, channels: tuple[Channel, ...], amplitudes: dict[tuple[int, ...], complex]
+    ) -> "FockState":
+        """Wrap, without copying or checking, a channel tuple and an amplitude
+        dict that already meet `__init__`'s invariants: int-tuple keys of the
+        right width, no negative occupation, 0 < |a|^2 < inf, no -0.0 parts."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        return self
 
     @classmethod
     def vacuum(cls, channels: Iterable[ChannelLike]) -> "FockState":

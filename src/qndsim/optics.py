@@ -26,6 +26,11 @@ from .fock import (
 
 UNITARY_TOL = 1e-12
 
+# `apply` drops an output amplitude a with |a|^2 <= _RESIDUE * p^2, p the
+# largest |amplitude| among the input kets that feed it: such an a is what is
+# left of terms that cancelled, not a physical amplitude
+_RESIDUE = 1e-30
+
 
 class NonUnitaryError(ValueError):
     """A constructed matrix failed the unitarity check."""
@@ -75,6 +80,15 @@ class ModeTransform:
         object.__setattr__(self, "channels", chans)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _trusted(cls, channels: tuple[Channel, ...], matrix: np.ndarray) -> "ModeTransform":
+        """Wrap a complex matrix already known to be unitary on `channels`."""
+        self = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "matrix", matrix)
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ModeTransform is immutable")
 
@@ -82,7 +96,11 @@ class ModeTransform:
         return ModeTransform(self.channels, np.asarray(self.matrix).conj().T)
 
     def embedded(self, channels: Iterable[ChannelLike]) -> "ModeTransform":
-        """Pad with identity onto a larger channel tuple."""
+        """Pad with identity onto a larger channel tuple.
+
+        The padded matrix is unitary because this one was checked when built,
+        so it is not checked again.
+        """
         chans = as_channels(channels)
         if chans == self.channels:
             return self  # immutable and validated when built
@@ -92,7 +110,7 @@ class ModeTransform:
         mat = np.eye(len(chans), dtype=complex)
         idx = [chans.index(c) for c in self.channels]
         mat[np.ix_(idx, idx)] = self.matrix
-        return ModeTransform(chans, mat)
+        return ModeTransform._trusted(chans, mat)
 
     def __repr__(self) -> str:
         labels = ",".join(str(c) for c in self.channels)
@@ -201,6 +219,10 @@ def apply(
     no descendant of it can reach the floor, and every parent of a kept
     monomial is kept, so the kept amplitudes are the same sums, in the same
     order, bit for bit.
+
+    Cancellation residues are dropped here (see `_RESIDUE`), and a NaN or
+    infinite output amplitude raises `ValueError`, so the result meets
+    `FockState`'s invariants and is built without a second check.
     """
     for c in t.channels:
         if c not in state.channels:
@@ -232,6 +254,7 @@ def apply(
     factorial = [math.factorial(n) for n in range(base)]
     acc: dict[int, complex] = {}  # output code -> amplitude
     scales: dict[int, float] = {}  # output code -> sqrt(prod m!), once per code
+    feeds = []  # (|amp|^2, codes it fed) per input ket, for the residue test
     for occ, amp in state.amplitudes.items():
         left = sum(occ)  # photons still to place
         if left < total:
@@ -263,6 +286,7 @@ def apply(
                             new = mon + stride
                             new_poly[new] = get(new, 0j) + c0 * cij
                 poly = new_poly
+        feeds.append((abs(amp) ** 2, poly))
         get = acc.get
         for mon, c0 in poly.items():
             scale = scales.get(mon)
@@ -273,14 +297,23 @@ def apply(
                     prod *= factorial[m]
                 scale = scales[mon] = math.sqrt(prod)
             acc[mon] = get(mon, 0j) + c0 * scale
+    # no code's peak exceeds the largest input |amp|^2, so a code's own peak
+    # is looked up only when its amplitude falls under that cut
+    cut = _RESIDUE * max((w for w, _ in feeds), default=0.0)
     out: dict[tuple[int, ...], complex] = {}
     for mon, amp in acc.items():
+        size = abs(amp)
+        mag = size * size  # overflows to inf where ** 2 would raise
+        if mag <= cut and mag <= _RESIDUE * max(w for w, fed in feeds if mon in fed):
+            continue
         digits = []
         for _ in strides:
             mon, m = divmod(mon, base)
             digits.append(m)
+        if not mag < math.inf:  # NaN or infinite
+            raise ValueError(f"non-finite amplitude {amp} at {tuple(digits)}: |a|^2 = {mag}")
         out[tuple(digits)] = amp
-    return FockState(state.channels, out)
+    return FockState._trusted(state.channels, out)
 
 
 def kerr_gate(

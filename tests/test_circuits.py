@@ -1,10 +1,25 @@
+import functools
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
-from qndsim.circuits import CircuitSyntaxError, parse_circuit
+from qndsim.circuits import CircuitSyntaxError, parse_circuit, parse_complex
+from qndsim.fock import Mode
+from qndsim.optics import (
+    BeamSplitterSpec,
+    ModeTransform,
+    beam_splitter,
+    compose,
+    identity_transform,
+    matrix_transform,
+    phase_shifter,
+    polarization_rotator,
+    polarizing_beam_splitter,
+)
 from qndsim.protocols import number_device_transform, pol_device_transform
 
 DATA = Path(__file__).parent / "data"
@@ -62,6 +77,99 @@ def test_matrix_directive_complex_literals():
     t = parse_circuit(text)
     expected = np.array([[1, 1j], [1j, 1]]) / S2
     assert np.allclose(t.matrix, expected, atol=1e-12)
+
+
+def elements(text: str):
+    """The declared channels and the circuit's elements, built line by line
+    with the public builders."""
+    modes, out = {}, []
+    for line in text.splitlines():
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        op, args = toks[0], toks[1:]
+        if op == "mode":
+            modes[args[0]] = Mode(args[0], polarized=args[1:] == ["pol"])
+        elif op == "bs":
+            spec = BeamSplitterSpec(float(args[2][2:]), flip=args[3:] == ["flip"])
+            out.append(beam_splitter(spec, modes[args[0]], modes[args[1]]))
+        elif op == "ps":
+            out.append(phase_shifter(float(args[1][4:]), modes[args[0]]))
+        elif op == "rot":
+            out.append(polarization_rotator(float(args[1][6:]), modes[args[0]]))
+        elif op == "pbs":
+            out.append(polarizing_beam_splitter(modes[args[0]], modes[args[1]]))
+        else:
+            assert op == "matrix"
+            k = int(args[0])
+            declared = [c for m in modes.values() for c in m.channels]
+            entries = np.array([parse_complex(z) for z in args[1:]]).reshape(k, k)
+            out.append(matrix_transform(declared[:k], entries))
+    return [c for m in modes.values() for c in m.channels], out
+
+
+def random_circuit(rng: random.Random) -> str:
+    """2-4 modes, some polarized, and up to 12 elements, floats written with repr."""
+    pol = [rng.random() < 0.5 for _ in range(rng.randint(2, 4))]
+    names = [f"m{i}" for i in range(len(pol))]
+    lines = [f"mode {n}" + (" pol" if p else "") for n, p in zip(names, pol)]
+    n_ch = sum(2 if p else 1 for p in pol)
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.choice(["bs", "ps", "rot", "pbs", "matrix"])
+        a, b = rng.sample(range(len(pol)), 2)
+        if kind == "bs" and pol[a] == pol[b]:
+            flip = " flip" if rng.random() < 0.5 else ""
+            lines.append(f"bs {names[a]} {names[b]} T={rng.random()!r}{flip}")
+        elif kind == "ps":
+            lines.append(f"ps {names[a]} phi={rng.uniform(-7, 7)!r}")
+        elif kind == "rot" and pol[a]:
+            lines.append(f"rot {names[a]} angle={rng.uniform(-7, 7)!r}")
+        elif kind == "pbs" and pol[a] and pol[b]:
+            lines.append(f"pbs {names[a]} {names[b]}")
+        elif kind == "matrix":
+            k = rng.randint(2, n_ch)
+            u = unitary_group.rvs(k, random_state=rng.randrange(2**32))
+            entries = " ".join(f"{z.real!r}{z.imag:+}i" for z in u.ravel().tolist())
+            lines.append(f"matrix {k} {entries}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_parses_to_composed_product(text: str):
+    """parse_circuit's matrix is reduce(compose, ...)'s, bit for bit, signs of
+    zero included: the goldens print them."""
+    chans, elems = elements(text)
+    reference = functools.reduce(compose, elems, identity_transform(chans))
+    parsed = parse_circuit(text)
+    assert parsed.channels == reference.channels
+    bits = [[(z.real.hex(), z.imag.hex()) for z in row] for row in parsed.matrix.tolist()]
+    assert bits == [[(z.real.hex(), z.imag.hex()) for z in row]
+                    for row in reference.matrix.tolist()], text
+
+
+def test_random_circuits_parse_to_the_composed_product():
+    texts = [random_circuit(random.Random(seed)) for seed in range(60)]
+    used = {line.split()[0] for text in texts for line in text.splitlines()}
+    assert used == {"mode", "bs", "ps", "rot", "pbs", "matrix"}
+    for text in texts:
+        assert_parses_to_composed_product(text)
+
+
+@pytest.mark.parametrize("name", ["four_mode_interferometer.qc", "six_channel_pol_device.qc"])
+def test_circuit_files_parse_to_the_composed_product(name):
+    assert_parses_to_composed_product((DATA / name).read_text())
+
+
+def test_each_element_and_the_product_checked_once(monkeypatch):
+    checked = []
+    init = ModeTransform.__init__
+
+    def counted(self, channels, matrix):
+        checked.append(len(matrix))
+        init(self, channels, matrix)
+
+    monkeypatch.setattr(ModeTransform, "__init__", counted)
+    parse_circuit((DATA / "four_mode_interferometer.qc").read_text())
+    assert checked == [2, 2, 2, 4]  # three splitters, then their product
 
 
 class TestErrors:

@@ -72,6 +72,15 @@ class TestSweep:
             if float(row["eta2"]) == 1.0:
                 assert float(row["fidelity_sim"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_heralded_mass_far_below_one_kept(self):
+        # the branch weight 1.25e-31 at gamma = 1e30 is exact, not a residue
+        res = invoke("sweep", "--protocol", "number", "--gamma", "1e29,1e30",
+                     "--eta2", "0.99:1:2")
+        rows = {(r["gamma"], r["eta2"]): r for r in parse_csv(res.output)}
+        assert rows["1e+29", "1"]["success_prob"] == "1.25e-30"
+        assert rows["1e+30", "1"]["success_prob"] == "1.25e-31"
+        assert rows["1e+30", "1"]["fidelity_sim"] == "1"
+
     def test_rows_ordered_by_gamma_then_eta2(self):
         res = invoke("sweep", "--protocol", "number", "--gamma", "1,0",
                      "--eta2", "0.5:1.0:3")
@@ -204,6 +213,11 @@ class TestRun:
         assert res.exit_code == 0
         assert "success_probability 0.0219478737997" in res.output
         assert "fidelity 1" in res.output
+
+    def test_number_at_extreme_gamma(self):
+        res = invoke("run", "number", "--gamma", "1e30")
+        assert res.exit_code == 0
+        assert "success_probability 1.25e-31\nfidelity 1\n" in res.output
 
     def test_kerr_tau_via_run(self):
         res = invoke("run", "kerr-tau", "--omega", "3e15", "--dt", "3e-11",

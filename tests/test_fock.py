@@ -46,6 +46,11 @@ class TestFockState:
         st = FockState((A,), {(0,): 1.0, (1,): 0.0})
         assert (1,) not in st.amplitudes
 
+    def test_tiny_amplitudes_kept(self):
+        # only exact zeros are dropped; residues are pruned where they arise
+        st = FockState((A,), {(0,): 1.0, (1,): 1e-20, (2,): -1e-150j})
+        assert st.amplitudes == {(0,): 1.0, (1,): 1e-20, (2,): -1e-150j}
+
     def test_duplicate_channels_rejected(self):
         with pytest.raises(ModeMismatchError):
             FockState((A, A), {(0, 0): 1.0})
@@ -62,6 +67,9 @@ class TestFockState:
             ((0, -1), ValueError),
             ((1.5, 0), ValueError),
             (("1", 0), ValueError),
+            ((math.inf, 0), ValueError),
+            ((-math.inf, 0), ValueError),
+            ((math.nan, 0), ValueError),
         ],
     )
     def test_malformed_occupation_rejected(self, occ, error):
@@ -78,7 +86,7 @@ class TestFockState:
         assert FockState((A, B), {(1.0, 0): 1.0}).amplitudes == {(1, 0): 1.0}
         assert FockState((), {(): 2.0}).amplitudes == {(): 2.0}
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), 1e155])
     def test_non_finite_amplitude_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             FockState((A, B), {(1, 0): bad, (0, 1): 1.0})

@@ -244,6 +244,12 @@ class TestComposeApply:
         with pytest.raises(ModeMismatchError):
             apply(t, FockState.vacuum((C, D)))
 
+    def test_overflowing_output_amplitude_rejected(self):
+        # |1,0> + |0,1> at 1e154 each leaves sqrt(2)e154 on one port: |a|^2 overflows
+        state = FockState((A, B), {(1, 0): 1e154, (0, 1): 1e154})
+        with pytest.raises(ValueError, match="non-finite amplitude"):
+            apply(beam_splitter(BeamSplitterSpec(0.5), A, B), state)
+
     def test_apply_four_photons_on_splitter(self):
         t = beam_splitter(BeamSplitterSpec(0.5), A, B)
         out = apply(t, FockState.basis((A, B), (2, 2)))

@@ -14,7 +14,7 @@ from scipy.stats import unitary_group
 
 from qndsim.detection import DetectorModel, condition
 from qndsim.fock import Channel, FockState
-from qndsim.optics import apply, matrix_transform
+from qndsim.optics import ModeTransform, apply, matrix_transform
 
 from test_optics import exact_items
 
@@ -39,6 +39,14 @@ def transform_and_state(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     u = unitary_group.rvs(len(acted), random_state=seed) if len(acted) > 1 else [[1j]]
     return matrix_transform(acted, u), FockState(channels, draw(kets(n_ch)))
+
+
+@st.composite
+def transform_state_and_floor(draw):
+    """As `transform_and_state`, with a floor of 0-2 photons on some channels."""
+    t, state = draw(transform_and_state())
+    floor = draw(st.dictionaries(st.sampled_from(state.channels), st.integers(0, 2)))
+    return t, state, floor
 
 
 @st.composite
@@ -109,3 +117,39 @@ def test_condition_probabilities_sum_to_one(case):
     probs = [condition(state, dict(zip(detected, r)), det)[0]
              for r in itertools.product(readings, repeat=len(detected))]
     assert abs(math.fsum(probs) - 1.0) <= 1e-12
+
+
+@REPRODUCIBLE
+@given(transform_state_and_floor())
+def test_apply_output_meets_the_constructor_invariants(case):
+    """`apply` builds its result without `FockState`'s checks; running them
+    changes nothing: same kets, same key order, same bits."""
+    t, state, floor = case
+    out = apply(t, state, floor)
+    again = FockState(out.channels, out.amplitudes)
+    assert again.channels == out.channels
+    assert exact_items(again.amplitudes) == exact_items(out.amplitudes)
+
+
+@REPRODUCIBLE
+@given(transform_and_state())
+def test_apply_commutes_with_power_of_two_scaling(case):
+    """Residues are pruned relative to the input amplitudes that feed them, so
+    scaling the input by 2^-100 (to |a|^2 < 1e-60, far under any absolute
+    cutoff) scales every output amplitude exactly and keeps the same kets."""
+    t, state = case
+    parts = [x for a in state.amplitudes.values() for x in (a.real, a.imag) if x]
+    assume(min(map(abs, parts), default=1.0) > 1e-6)  # so that nothing underflows
+    scale = 2.0**-100
+    out = apply(t, state).amplitudes
+    scaled = apply(t, state.scaled(scale)).amplitudes
+    assert exact_items(scaled) == exact_items({occ: a * scale for occ, a in out.items()})
+
+
+@REPRODUCIBLE
+@given(transform_and_state(), st.data())
+def test_embedded_transforms_pass_the_unitarity_check(case, data):
+    """`embedded` skips the unitarity check; the padded matrix passes it."""
+    t, state = case
+    e = t.embedded(data.draw(st.permutations(state.channels)))
+    assert ModeTransform(e.channels, e.matrix).channels == e.channels
