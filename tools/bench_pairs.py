@@ -28,6 +28,7 @@ BLAS_PROBE = """
 import ctypes, glob, json, os
 import numpy
 blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+blas = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
 core = None
 libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
 for path in glob.glob(libs):
