@@ -27,8 +27,9 @@ from .fock import (
 UNITARY_TOL = 1e-12
 
 # `apply` drops an output amplitude a with |a|^2 <= _RESIDUE * p^2, p the
-# largest |amplitude| among the input kets that feed it: such an a is what is
-# left of terms that cancelled, not a physical amplitude
+# largest |amplitude| among the input kets that feed it: terms that cancel
+# leave roundoff of about that size.  An exact amplitude that small goes too;
+# one above the cut is kept however small, since the cut scales with the input
 _RESIDUE = 1e-30
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from qndsim.circuits import parse_circuit
 from qndsim.fock import Channel, FockState, Mode, ModeMismatchError
 from qndsim.optics import (
     BeamSplitterSpec,
@@ -249,6 +250,30 @@ class TestComposeApply:
         state = FockState((A, B), {(1, 0): 1e154, (0, 1): 1e154})
         with pytest.raises(ValueError, match="non-finite amplitude"):
             apply(beam_splitter(BeamSplitterSpec(0.5), A, B), state)
+
+    def test_tiny_exact_amplitude_is_kept(self):
+        # op 69 of circuit-evolve deck 0, seed 5110: only the |1,0,1,6> ket
+        # (|amp| 0.15) feeds |1,0,0,7>, so nothing cancels there; its amplitude
+        # is a product of small matrix entries and matches a 50-digit
+        # permanent of the parsed matrix.  |a|^2 = 3.3e-31 lies under an
+        # absolute 1e-30 cutoff but above the relative 1e-30 * 0.15^2.
+        t = parse_circuit(
+            "mode m0 pol\nmode m1\nmode m2\nps m2 phi=1.9531975791695635\n"
+            "bs m2 m1 T=0.2896573151751394 flip\nrot m0 angle=4.566818788930159\n"
+            "bs m2 m1 T=0.7350001037602576\nrot m0 angle=2.7623119503127125\n"
+            "bs m2 m1 T=0.728411253996824\nbs m2 m1 T=0.32448731939041575 flip\n"
+            "rot m0 angle=0.6357254910259804\nbs m1 m2 T=0.5956570109884997\n"
+            "rot m0 angle=0.08702221383669347\nrot m0 angle=4.554402936539619\n"
+            "ps m0 phi=4.766698308540065\n"
+        )
+        kets = {
+            (1, 0, 1, 6): -0.15017518984329672 + 0.008233796046220458j,
+            (1, 5, 0, 2): -0.8019020208508503 + 0.06194795602269354j,
+            (3, 2, 0, 3): 0.10068985978673944 + 0.5660006791464639j,
+        }
+        out = apply(t, FockState(t.channels, kets))
+        exact = 4.287497815775636e-16 + 3.78436807635108e-16j
+        assert out.amplitudes[(1, 0, 0, 7)] == pytest.approx(exact, rel=1e-9)
 
     def test_apply_four_photons_on_splitter(self):
         t = beam_splitter(BeamSplitterSpec(0.5), A, B)

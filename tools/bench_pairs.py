@@ -1,18 +1,21 @@
 """Alternated parent/change benchmark pairs, written to one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload circuit-evolve sweep --seeds 5101-5110 --out BENCH_12.json
+        --workload circuit-evolve sweep run-mix --seeds 6101-6110 --out BENCH_12.json
 
 Each pair runs `perfbench/run.py --trace 0` once in each checkout with the
 same seed and run length; the parent runs first in even-numbered pairs and the
 change first in odd-numbered ones.  For each workload the output records every
 run's end-to-end metrics, failed-op count and digest, each side's median and
-quartiles per metric, and how many pairs the change won per metric (ties count
-for neither side).  It also records both commits and their `src/` line counts,
+quartiles per metric, how many pairs the change won per metric (ties count
+for neither side), and whether the metric is resolved: the parent's spread
+(interquartile range over median) is within the metric's bound, or every
+change run beats every parent run.  It also records both commits and their `src/` line counts,
 the CPU model, and numpy's BLAS build and run-time kernel: the circuit-evolve
-digest depends on the kernel.  An existing output file is updated workload by
-workload, so workloads can be run separately.  Standard library only; numpy
-is queried in a child interpreter.
+digest depends on the kernel.  Runs last `run_seconds` from the change's
+BENCHMARK.json, and each invocation writes a fresh file, so every pair in it
+comes from one host and one run length.  Standard library only; numpy is
+queried in a child interpreter.
 """
 
 from __future__ import annotations
@@ -104,6 +107,12 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                    for p, c in zip(side["parent"], side["change"]))
         stats = {s: quartiles(v) for s, v in side.items()}
         parent_median = stats["parent"]["median"]
+        parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        spread = parent_iqr / parent_median if parent_median else None
+        if lower:
+            all_better = max(side["change"]) < min(side["parent"])
+        else:
+            all_better = min(side["change"]) > max(side["parent"])
         out[name] = {
             "better": spec["better"],
             "bound": spec["bound"],
@@ -113,7 +122,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "pairs": len(pairs),
             "median_change_ratio": (stats["change"]["median"] / parent_median
                                     if parent_median else None),
-            "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+            "parent_iqr": parent_iqr,
+            "parent_spread": spread,
+            "resolved": all_better or (spread is not None and spread <= spec["bound"]),
         }
     return out
 
@@ -124,24 +135,25 @@ def main() -> int:
     ap.add_argument("--change", type=Path, required=True, help="change's checkout")
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seeds", type=seeds_arg, required=True, help="e.g. 5101-5110 or 1,2,3")
-    ap.add_argument("--seconds", type=int,
-                    help="run length (default: run_seconds in the change's BENCHMARK.json)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
 
     parent, change = args.parent.resolve(), args.change.resolve()
     bench = json.loads((change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     probe = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
                            text=True, check=True)
-    report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    report.update({
+    report = {
         "cpu_model": cpu_model(),
         "python": sys.version.split()[0],
         **json.loads(probe.stdout),
         "run_seconds": seconds,
         "command": "perfbench/run.py --trace 0",
-    })
+        "parent_commit": commit(parent),
+        "change_commit": commit(change),
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
+        "workloads": {},
+    }
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
@@ -155,9 +167,6 @@ def main() -> int:
                       f"failed {pair[side]['failed']}", file=sys.stderr, flush=True)
             pairs.append(pair)
         report["workloads"][workload] = {
-            "parent_commit": commit(parent),
-            "change_commit": commit(change),
-            "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
             "seeds": args.seeds,
             "pairs": pairs,
             "summary": summarize(pairs, bench["end_to_end"]),
