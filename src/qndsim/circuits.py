@@ -19,6 +19,7 @@ from .fock import Mode
 from .optics import (
     BeamSplitterSpec,
     ModeTransform,
+    _padded,
     beam_splitter,
     matrix_transform,
     phase_shifter,
@@ -143,10 +144,11 @@ def parse_circuit(text: str) -> ModeTransform:
     if not modes:
         raise CircuitSyntaxError(1, "no modes declared")
     all_channels = [c for m in modes.values() for c in m.channels]
+    index = {c: i for i, c in enumerate(all_channels)}
     # compose's product, in its matmul order from the identity (a -0 that a
-    # golden prints depends on it); each element was checked by its builder,
-    # and the product is checked once, here
+    # golden prints depends on it); the builders validated their parameters
+    # and each raw matrix was checked, and the product is checked once, here
     total = np.eye(len(all_channels), dtype=complex)
     for t in transforms:
-        total = t.embedded(all_channels).matrix @ total
+        total = _padded(t, index) @ total
     return ModeTransform(all_channels, total)

@@ -105,17 +105,26 @@ class ModeTransform:
         chans = as_channels(channels)
         if chans == self.channels:
             return self  # immutable and validated when built
+        index = {c: i for i, c in enumerate(chans)}
         for c in self.channels:
-            if c not in chans:
+            if c not in index:
                 raise ModeMismatchError(f"cannot embed: {c} missing from target")
-        mat = np.eye(len(chans), dtype=complex)
-        idx = [chans.index(c) for c in self.channels]
-        mat[np.ix_(idx, idx)] = self.matrix
-        return ModeTransform._trusted(chans, mat)
+        return ModeTransform._trusted(chans, _padded(self, index))
 
     def __repr__(self) -> str:
         labels = ",".join(str(c) for c in self.channels)
         return f"ModeTransform([{labels}])"
+
+
+def _padded(t: ModeTransform, index: Mapping[Channel, int]) -> np.ndarray:
+    """The identity on `index`'s channels with `t.matrix` set, entry by entry,
+    at the rows and columns of `t`'s channels (all of them in `index`)."""
+    out = np.eye(len(index), dtype=complex)
+    idx = [index[c] for c in t.channels]
+    for i, row in zip(idx, t.matrix.tolist()):
+        for j, z in zip(idx, row):
+            out[i, j] = z
+    return out
 
 
 def identity_transform(channels: Iterable[ChannelLike]) -> ModeTransform:
@@ -147,31 +156,33 @@ def beam_splitter(spec: BeamSplitterSpec, in1: ChannelLike, in2: ChannelLike) ->
         raise ModeMismatchError("beam splitter inputs must be distinct")
     t = math.sqrt(spec.transmission)
     r = math.sqrt(1.0 - spec.transmission)
-    if spec.flip:
-        block = np.array([[t, r], [-r, t]])
-    else:
-        block = np.array([[t, -r], [r, t]])
-    chans = c1 + c2
-    mat = np.zeros((len(chans), len(chans)), dtype=complex)
-    for k in range(len(c1)):
-        i, j = k, k + len(c1)
-        mat[np.ix_([i, j], [i, j])] = block
-    return ModeTransform(chans, mat)
+    tr = (r, -r) if spec.flip else (-r, r)
+    n = len(c1)
+    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i in range(n):
+        j = i + n
+        mat[i, i] = mat[j, j] = t
+        mat[i, j], mat[j, i] = tr
+    return ModeTransform._trusted(c1 + c2, mat)
 
 
 def phase_shifter(phi: float, mode: ChannelLike) -> ModeTransform:
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     chans = _mode_channels(mode)
-    return ModeTransform(chans, np.exp(1j * phi) * np.eye(len(chans)))
+    return ModeTransform._trusted(chans, np.exp(1j * phi) * np.eye(len(chans)))
 
 
 def polarization_rotator(angle: float, mode: Mode) -> ModeTransform:
     """SU(2) rotation mixing the H and V channels of one polarized mode."""
     if not (isinstance(mode, Mode) and mode.polarized):
         raise ModeMismatchError("polarization rotator needs a polarized mode")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     c, s = math.cos(angle), math.sin(angle)
     # columns: images of H and V
     mat = np.array([[c, -s], [s, c]], dtype=complex)
-    return ModeTransform(mode.channels, mat)
+    return ModeTransform._trusted(mode.channels, mat)
 
 
 def polarizing_beam_splitter(in1: Mode, in2: Mode) -> ModeTransform:
@@ -189,7 +200,7 @@ def polarizing_beam_splitter(in1: Mode, in2: Mode) -> ModeTransform:
     mat[2, 2] = 1.0
     mat[3, 1] = 1.0  # V crosses
     mat[1, 3] = 1.0
-    return ModeTransform(chans, mat)
+    return ModeTransform._trusted(chans, mat)
 
 
 def compose(t1: ModeTransform, t2: ModeTransform) -> ModeTransform:
