@@ -108,29 +108,52 @@ def elements(text: str):
     return [c for m in modes.values() for c in m.channels], out
 
 
-def random_circuit(rng: random.Random) -> str:
-    """2-4 modes, some polarized, and up to 12 elements, floats written with repr."""
-    pol = [rng.random() < 0.5 for _ in range(rng.randint(2, 4))]
+def random_element(rng: random.Random, names, pol, n_ch: int, kinds) -> str | None:
+    """One random line of one of `kinds`, or None when the drawn kind does not
+    fit the drawn modes."""
+    kind = rng.choice(kinds)
+    a, b = rng.sample(range(len(pol)), 2)
+    if kind == "bs" and pol[a] == pol[b]:
+        flip = " flip" if rng.random() < 0.5 else ""
+        return f"bs {names[a]} {names[b]} T={rng.random()!r}{flip}"
+    if kind == "ps":
+        return f"ps {names[a]} phi={rng.uniform(-7, 7)!r}"
+    if kind == "rot" and pol[a]:
+        return f"rot {names[a]} angle={rng.uniform(-7, 7)!r}"
+    if kind == "pbs" and pol[a] and pol[b]:
+        return f"pbs {names[a]} {names[b]}"
+    if kind == "matrix":
+        k = rng.randint(2, n_ch)
+        u = unitary_group.rvs(k, random_state=rng.randrange(2**32))
+        entries = " ".join(f"{z.real!r}{z.imag:+}i" for z in u.ravel().tolist())
+        return f"matrix {k} {entries}"
+    return None
+
+
+def random_circuit(rng: random.Random, channels: int | None = None) -> str:
+    """2-4 modes, some polarized, and up to 12 elements or matrix blocks; or,
+    given `channels`, modes over that many channels and 3 * channels elements,
+    the shape of circuit-evolve's element circuits.  Floats are written with
+    repr."""
+    if channels is None:
+        pol = [rng.random() < 0.5 for _ in range(rng.randint(2, 4))]
+    else:
+        pol = []
+        while (left := channels - sum(2 if p else 1 for p in pol)) > 0:
+            pol.append(left > 1 and rng.random() < 0.5)
     names = [f"m{i}" for i in range(len(pol))]
     lines = [f"mode {n}" + (" pol" if p else "") for n, p in zip(names, pol)]
     n_ch = sum(2 if p else 1 for p in pol)
-    for _ in range(rng.randint(1, 12)):
-        kind = rng.choice(["bs", "ps", "rot", "pbs", "matrix"])
-        a, b = rng.sample(range(len(pol)), 2)
-        if kind == "bs" and pol[a] == pol[b]:
-            flip = " flip" if rng.random() < 0.5 else ""
-            lines.append(f"bs {names[a]} {names[b]} T={rng.random()!r}{flip}")
-        elif kind == "ps":
-            lines.append(f"ps {names[a]} phi={rng.uniform(-7, 7)!r}")
-        elif kind == "rot" and pol[a]:
-            lines.append(f"rot {names[a]} angle={rng.uniform(-7, 7)!r}")
-        elif kind == "pbs" and pol[a] and pol[b]:
-            lines.append(f"pbs {names[a]} {names[b]}")
-        elif kind == "matrix":
-            k = rng.randint(2, n_ch)
-            u = unitary_group.rvs(k, random_state=rng.randrange(2**32))
-            entries = " ".join(f"{z.real!r}{z.imag:+}i" for z in u.ravel().tolist())
-            lines.append(f"matrix {k} {entries}")
+    if channels is None:
+        kinds = ["bs", "ps", "rot", "pbs", "matrix"]
+        drawn = (random_element(rng, names, pol, n_ch, kinds)
+                 for _ in range(rng.randint(1, 12)))
+        lines += [line for line in drawn if line]
+    else:
+        while len(lines) < len(pol) + 3 * channels:
+            line = random_element(rng, names, pol, n_ch, ["bs", "ps", "rot", "pbs"])
+            if line:
+                lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -147,7 +170,11 @@ def assert_parses_to_composed_product(text: str):
 
 
 def test_random_circuits_parse_to_the_composed_product():
+    """Small circuits, and 4-6 channel ones with 3 * channels elements: which
+    matmul kernel numpy picks depends on the size."""
     texts = [random_circuit(random.Random(seed)) for seed in range(60)]
+    texts += [random_circuit(random.Random(seed), channels)
+              for channels in (4, 5, 6) for seed in range(20)]
     used = {line.split()[0] for text in texts for line in text.splitlines()}
     assert used == {"mode", "bs", "ps", "rot", "pbs", "matrix"}
     for text in texts:
@@ -159,7 +186,10 @@ def test_circuit_files_parse_to_the_composed_product(name):
     assert_parses_to_composed_product((DATA / name).read_text())
 
 
-def test_each_element_and_the_product_checked_once(monkeypatch):
+def test_each_matrix_block_and_the_product_checked_once(monkeypatch):
+    """Element builders validate their parameters, not their matrices (each
+    is unitary by construction, see test_properties.py); a raw `matrix` block
+    is checked, and so is the product."""
     checked = []
     init = ModeTransform.__init__
 
@@ -169,7 +199,11 @@ def test_each_element_and_the_product_checked_once(monkeypatch):
 
     monkeypatch.setattr(ModeTransform, "__init__", counted)
     parse_circuit((DATA / "four_mode_interferometer.qc").read_text())
-    assert checked == [2, 2, 2, 4]  # three splitters, then their product
+    assert checked == [4]  # the product of three splitters, not the splitters
+    checked.clear()
+    parse_circuit("mode a pol\nmode b pol\nmode c\nbs a b T=0.3 flip\nps c phi=1\n"
+                  "rot a angle=2\npbs a b\nmatrix 2 0 1 1 0\nmatrix 3 0 0 1 1 0 0 0 1 0\n")
+    assert checked == [2, 3, 5]  # two matrix blocks, then the product
 
 
 class TestErrors:

@@ -298,7 +298,11 @@ class TestCircuit:
     def test_parse_error_exit_two(self, tmp_path):
         cases = [
             ("mode a\nmode c\nbs a c T=1.5\n", "transmission out of range"),
-            ("mode a\nmode b\nps a phi=nan\n", "not unitary"),
+            ("mode a\nmode b\nps a phi=nan\n", "line 3: phi must be finite"),
+            ("mode a\nmode b\nps a phi=inf\n", "line 3: phi must be finite"),
+            ("mode a\nmode b\nps a phi=-inf\n", "line 3: phi must be finite"),
+            ("mode a pol\nrot a angle=nan\n", "line 2: angle must be finite"),
+            ("mode a pol\nrot a angle=inf\n", "line 2: angle must be finite"),
             ("mode a\nmode b\nmatrix 2 nan 0 0 1\n", "not unitary"),
             ("mode a\nmatrix -1 1\n", "bad size '-1'"),
             ("mode a\nmatrix -1\n", "bad size '-1'"),

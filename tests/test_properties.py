@@ -1,5 +1,6 @@
-"""Property tests of `optics.apply` and `detection.condition` over generated
-states, transforms and detectors.
+"""Property tests of `optics.apply`, `optics.compose`, the element builders
+and `detection.condition` over generated states, transforms, parameters and
+detectors.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
@@ -8,13 +9,24 @@ checks the same cases.
 import itertools
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from qndsim.detection import DetectorModel, condition
-from qndsim.fock import Channel, FockState
-from qndsim.optics import ModeTransform, apply, matrix_transform
+from qndsim.fock import Channel, FockState, Mode
+from qndsim.optics import (
+    BeamSplitterSpec,
+    ModeTransform,
+    apply,
+    beam_splitter,
+    compose,
+    matrix_transform,
+    phase_shifter,
+    polarization_rotator,
+    polarizing_beam_splitter,
+)
 
 from test_optics import exact_items
 
@@ -153,3 +165,54 @@ def test_embedded_transforms_pass_the_unitarity_check(case, data):
     t, state = case
     e = t.embedded(data.draw(st.permutations(state.channels)))
     assert ModeTransform(e.channels, e.matrix).channels == e.channels
+
+
+ANGLES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@REPRODUCIBLE
+@given(st.floats(0.0, 1.0), st.booleans(), ANGLES, ANGLES, st.booleans())
+def test_element_builders_are_unitary_by_construction(t, flip, phi, angle, polarized):
+    """The builders validate their parameters, not their matrices: over the
+    whole parameter domain, every matrix they build passes the check that
+    `ModeTransform(...)` runs."""
+    a, b = Mode("a", polarized), Mode("b", polarized)
+    pa, pb = Mode("a", True), Mode("b", True)
+    built = [beam_splitter(BeamSplitterSpec(t, flip), a, b), phase_shifter(phi, a),
+             polarization_rotator(angle, pa), polarizing_beam_splitter(pa, pb)]
+    for e in built:
+        assert ModeTransform(e.channels, e.matrix).channels == e.channels
+
+
+@st.composite
+def three_transforms(draw):
+    """Three random unitaries, each on some of four channels."""
+    channels = [Channel(f"m{i}") for i in range(4)]
+    out = []
+    for _ in range(3):
+        acted = draw(st.lists(st.sampled_from(channels), min_size=2, max_size=4, unique=True))
+        seed = draw(st.integers(0, 2**32 - 1))
+        out.append(matrix_transform(acted, unitary_group.rvs(len(acted), random_state=seed)))
+    return out
+
+
+@REPRODUCIBLE
+@given(three_transforms())
+def test_compose_is_associative(case):
+    """Both groupings give the same unitary on the same channel order, up to
+    the roundoff of multiplying in another order."""
+    t1, t2, t3 = case
+    left = compose(compose(t1, t2), t3)
+    right = compose(t1, compose(t2, t3)).embedded(left.channels)
+    assert np.abs(left.matrix - right.matrix).max() <= 1e-12
+
+
+def test_hong_ou_mandel_dip():
+    """One photon into each port of a 50:50 splitter: the |1,1> amplitude
+    t^2 - r^2 cancels and is cut, and the pair leaves together, |2,0> or
+    |0,2> with probability 1/2 each."""
+    a, b = Channel("a"), Channel("b")
+    out = apply(beam_splitter(BeamSplitterSpec(0.5), a, b), FockState((a, b), {(1, 1): 1}))
+    assert out.amplitudes.keys() == {(2, 0), (0, 2)}  # no |1,1>
+    for amp in out.amplitudes.values():
+        assert abs(abs(amp) ** 2 - 0.5) <= 1e-12
