@@ -19,6 +19,7 @@ from .fock import Mode
 from .optics import (
     BeamSplitterSpec,
     ModeTransform,
+    NonUnitaryError,
     _padded,
     beam_splitter,
     matrix_transform,
@@ -151,4 +152,8 @@ def parse_circuit(text: str) -> ModeTransform:
     total = np.eye(len(all_channels), dtype=complex)
     for t in transforms:
         total = _padded(t, index) @ total
-    return ModeTransform(all_channels, total)
+    try:
+        return ModeTransform(all_channels, total)
+    except NonUnitaryError as exc:
+        # blocks each within tolerance can compound past it; blame the last line
+        raise CircuitSyntaxError(line_no, f"circuit product: {exc}") from exc

@@ -4,14 +4,22 @@ Subcommands: sweep (CSV fidelity/efficiency grids), run (single protocol
 evaluation), circuit (parse and dump a circuit file), kerr-tau and noon-bound
 (calculators).  Exit codes: 0 success, 1 runtime error, 2 usage/parse error.
 All output is deterministic; floats are printed with 12 significant digits.
+
+Each command declares its parameters once, in a table that `_parse` reads
+argv from and `_help` renders `--help` from.  The parsing rules: an option
+that takes a value consumes the next token verbatim (`--input -0.5,0,1`);
+`--opt=value` and `-T0.5` also work; options and positionals interleave; the
+last occurrence of an option wins, except for `multiple` ones, which collect
+every occurrence; `--` ends option parsing; any other token that starts with
+`-` (but is not `-` itself) must name an option.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
-
-import click
+from typing import Any, Callable, NamedTuple
 
 from . import protocols
 from .circuits import CircuitSyntaxError, parse_circuit, parse_complex
@@ -26,6 +34,303 @@ from .protocols import (
 )
 
 
+class UsageError(Exception):
+    """A bad command line: `Error: <message>` on stderr, exit code 2."""
+
+
+class Type(NamedTuple):
+    """How a parameter's text becomes its value.
+
+    `convert` raises ValueError whose message says why the text is refused.
+    """
+
+    metavar: str
+    convert: Callable[[str], Any]
+    choices: tuple[str, ...] = ()
+
+
+def _number(name: str, cast: Callable[[str], Any]) -> Type:
+    def convert(text: str):
+        try:
+            return cast(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid {name}.") from None
+    return Type(name.upper(), convert)
+
+
+def _choice(*choices: str) -> Type:
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+        return text
+    return Type(f"[{'|'.join(choices)}]", convert, choices)
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.exists(text):
+        raise ValueError(f"File {text!r} does not exist.")
+    if os.path.isdir(text):
+        raise ValueError(f"File {text!r} is a directory.")
+    if not os.access(text, os.R_OK):
+        raise ValueError(f"File {text!r} is not readable.")
+    return text
+
+
+def _writable_file(text: str) -> str:
+    if os.path.isdir(text):
+        raise ValueError(f"File {text!r} is a directory.")
+    if os.path.exists(text) and not os.access(text, os.W_OK):
+        raise ValueError(f"File {text!r} is not writable.")
+    return text
+
+
+TEXT = Type("TEXT", str)
+FLOAT = _number("float", float)
+INTEGER = _number("integer", int)
+
+
+class Param(NamedTuple):
+    """An option (its names start with `-`) or a positional argument.
+
+    A positional's one name is what usage lines and error messages call it.
+    Positionals are required; an absent option takes `default`, or `()` if
+    it is `multiple`.
+    """
+
+    names: tuple[str, ...]
+    dest: str
+    type: Type = TEXT
+    default: Any = None
+    help: str = ""
+    required: bool = False
+    multiple: bool = False
+    show_default: bool = False
+
+    @property
+    def is_option(self) -> bool:
+        return self.names[0].startswith("-")
+
+    @property
+    def hint(self) -> str:
+        return " / ".join(f"'{n}'" for n in self.names)
+
+
+_HELP = Param(("--help",), "help", help="Show this message and exit.")
+
+
+class Command(NamedTuple):
+    name: str
+    run: Callable[..., None]
+    params: tuple[Param, ...]
+    options: dict[str, Param]
+    positionals: tuple[Param, ...]
+
+    @property
+    def summary(self) -> str:
+        return self.run.__doc__.strip().splitlines()[0]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, *params: Param):
+    """Register the decorated function as subcommand `name` with `params`."""
+    def register(fn):
+        options = {n: p for p in (*params, _HELP) if p.is_option for n in p.names}
+        positionals = tuple(p for p in params if not p.is_option)
+        COMMANDS[name] = Command(name, fn, params, options, positionals)
+        return fn
+    return register
+
+
+def _no_such(kind: str, name: str, possibilities) -> str:
+    from difflib import get_close_matches  # only an error pays for the import
+
+    close = sorted(get_close_matches(name, possibilities))
+    quoted = ", ".join(map(repr, close))
+    if len(close) > 1:
+        return f"No such {kind} {name!r}. (Did you mean one of: {quoted}?)"
+    return f"No such {kind} {name!r}." + (f" Did you mean {quoted}?" if close else "")
+
+
+def _no_such_option(tok: str, options) -> str:
+    """A long option is named up to any `=`, and close long names suggested."""
+    if tok.startswith("--"):
+        return _no_such("option", tok.partition("=")[0], [n for n in options if n[:2] == "--"])
+    return _no_such("option", tok[:2], ())
+
+
+def _parse(cmd: Command, argv: list[str]) -> dict[str, Any] | None:
+    """Keyword arguments for `cmd.run` from argv; None when `--help` asks for help.
+
+    Values are converted, and required parameters checked, in the order
+    options first appear, then the positionals, then the rest as declared,
+    so the first error reported is the one click reported.
+    """
+    texts: dict[Param, Any] = {}  # the last text, or every text if `multiple`
+    positional: list[str] = []
+    wants_help = False
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            positional.extend(tokens)
+            break
+        if tok[:1] != "-" or tok == "-":
+            positional.append(tok)
+            continue
+        if tok.startswith("--"):
+            name, eq, value = tok.partition("=")
+            glued = bool(eq)
+        else:  # a short option's value may be glued on: -T0.5
+            name, value = tok[:2], tok[2:]
+            glued = bool(value)
+        param = cmd.options.get(name)
+        if param is None:
+            raise UsageError(_no_such_option(tok, cmd.options))
+        if param is _HELP:
+            if glued:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            wants_help = True
+            continue
+        if not glued:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"Option {name!r} requires an argument.")
+        if param.multiple:
+            texts.setdefault(param, []).append(value)
+        else:
+            texts[param] = value
+    if wants_help:
+        return None
+
+    texts.update(zip(cmd.positionals, positional))
+    values = {}
+    for p in [*texts, *(p for p in cmd.params if p not in texts)]:
+        if p in texts:
+            text = texts[p]
+            try:
+                values[p.dest] = (tuple(map(p.type.convert, text)) if p.multiple
+                                  else p.type.convert(text))
+            except ValueError as exc:
+                raise UsageError(f"Invalid value for {p.hint}: {exc}") from None
+        elif p.required or not p.is_option:
+            message = f"Missing {'option' if p.is_option else 'argument'} {p.hint}."
+            if p.type.choices:
+                message += " Choose from:\n\t" + ",\n\t".join(p.type.choices)
+            raise UsageError(message)
+        else:
+            values[p.dest] = () if p.multiple else p.default
+    extra = positional[len(cmd.positionals):]
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    return values
+
+
+def _usage(prog: str, cmd: Command | None) -> str:
+    if cmd is None:
+        return f"Usage: {prog} [OPTIONS] COMMAND [ARGS]..."
+    return " ".join([f"Usage: {prog} {cmd.name} [OPTIONS]", *(p.names[0] for p in cmd.positionals)])
+
+
+def _help(prog: str, cmd: Command | None) -> str:
+    """`--help` text: usage, description, then one line per option (or command)."""
+    if cmd is None:
+        description = Program.__doc__.splitlines()[0]
+        rows = [("--help", _HELP.help)]
+        sections = [("Options", rows),
+                    ("Commands", [(n, COMMANDS[n].summary) for n in sorted(COMMANDS)])]
+    else:
+        description = cmd.summary
+        rows = []
+        for p in (*cmd.params, _HELP):
+            if not p.is_option:
+                continue
+            names = sorted(p.names, key=lambda n: len(n) - len(n.lstrip("-")))
+            flag = ", ".join(names) + ("" if p is _HELP else f" {p.type.metavar}")
+            notes = [p.help] if p.help else []
+            if p.show_default:
+                notes.append(f"[default: {p.default}]")
+            if p.required:
+                notes.append("[required]")
+            rows.append((flag, "  ".join(notes)))
+        sections = [("Options", rows)]
+    lines = [_usage(prog, cmd), "", f"  {description}"]
+    for title, entries in sections:
+        width = max(len(left) for left, _ in entries) + 2
+        lines += ["", f"{title}:"]
+        lines += [f"  {left.ljust(width)}{right}".rstrip() for left, right in entries]
+    return "\n".join(lines) + "\n"
+
+
+def _dispatch(argv: list[str], prog: str) -> None:
+    """Run one command line; usage errors exit 2."""
+    cmd = None
+    try:
+        rest = list(argv)
+        # the group's options precede the command name; --help is its only one
+        while rest and rest[0][:1] == "-" and rest[0] != "-":
+            tok = rest.pop(0)
+            if tok == "--":
+                break
+            if tok != "--help":
+                raise UsageError(_no_such_option(tok, ["--help"]))
+            sys.stdout.write(_help(prog, None))
+            return
+        if not rest:  # no command: the help, as a usage error
+            sys.stderr.write(_help(prog, None))
+            sys.exit(2)
+        cmd = COMMANDS.get(rest[0])
+        if cmd is None:
+            raise UsageError(_no_such("command", rest[0], list(COMMANDS)))
+        values = _parse(cmd, rest[1:])
+        if values is None:
+            sys.stdout.write(_help(prog, cmd))
+        else:
+            cmd.run(**values)
+    except UsageError as exc:
+        name = f" {cmd.name}" if cmd else ""
+        sys.stderr.write(f"{_usage(prog, cmd)}\nTry '{prog}{name} --help' for help.\n\n"
+                         f"Error: {exc}\n")
+        sys.exit(2)
+
+
+class Program:
+    """Simulator of linear-optical single-photon QND detection schemes.
+
+    The `qndsim` entry point: `main()` runs `sys.argv`, `main.main(args)` a
+    list.  Every call ends in SystemExit: 0 on success, 1 on a runtime error,
+    2 on a usage error.
+    """
+
+    def main(self, args: list[str] | None = None, prog_name: str = "qndsim") -> None:
+        try:
+            try:
+                _dispatch(sys.argv[1:] if args is None else list(args), prog_name)
+            finally:
+                sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        except (KeyboardInterrupt, EOFError):
+            sys.stderr.write("\nAborted!\n")
+            sys.exit(1)
+        except BrokenPipeError:
+            # the reader has gone; send what stdout still buffers to devnull,
+            # so that the flush at exit raises no second error
+            try:
+                fd = sys.stdout.fileno()
+            except (OSError, ValueError):  # not a file-backed stream
+                pass
+            else:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            sys.exit(1)
+        sys.exit(0)
+
+    def __call__(self) -> None:
+        self.main()
+
+
+main = Program()
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -36,14 +341,10 @@ def _fmt_complex(z: complex) -> str:
     return f"{re}{sign}{_fmt(abs(z.imag))}i"
 
 
-def _echo(text: str, err: bool = False, nl: bool = True) -> None:
-    """click.echo to the current sys.stdout, or sys.stderr with `err`.
-
-    Given no `file`, click caches the stream it picks in a WeakKeyDictionary
-    whose value is the stream itself, so every stream that an in-process
-    caller redirects output to would stay alive for the life of the process.
-    """
-    click.echo(text, file=sys.stderr if err else sys.stdout, nl=nl)
+def _fail(exc: Exception) -> None:
+    """A runtime error: `error: <message>` on stderr, exit code 1."""
+    sys.stderr.write(f"error: {exc}\n")
+    sys.exit(1)
 
 
 def _spec(make, *args):
@@ -51,7 +352,7 @@ def _spec(make, *args):
     try:
         return make(*args)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _kerr_tau(omega: float, dt: float, chi3: float, volume: float) -> float:
@@ -59,8 +360,7 @@ def _kerr_tau(omega: float, dt: float, chi3: float, volume: float) -> float:
     try:
         return protocols.kerr_tau(KerrStrengthParams(omega, dt, chi3, volume))
     except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
 
 
 def _parse_theta(text: str | None) -> PolarizationAngle:
@@ -68,66 +368,63 @@ def _parse_theta(text: str | None) -> PolarizationAngle:
         return PolarizationAngle.diagonal()
     parts = text.split(",")
     if len(parts) not in (1, 2):
-        raise click.UsageError("theta must be '<theta>' or '<theta>,<phi>' (radians)")
+        raise UsageError("theta must be '<theta>' or '<theta>,<phi>' (radians)")
     try:
         theta = float(parts[0])
         phi = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
-        raise click.UsageError(f"bad theta {text!r}") from None
+        raise UsageError(f"bad theta {text!r}") from None
     return _spec(PolarizationAngle.from_bloch, theta, phi)
 
 
 def _parse_input(text: str | None, gamma: float | None) -> NumberInputSpec:
     if text is not None and gamma is not None:
-        raise click.UsageError("give either --input or --gamma, not both")
+        raise UsageError("give either --input or --gamma, not both")
     if text is not None:
         parts = text.split(",")
         if len(parts) != 3:
-            raise click.UsageError("--input needs three comma-separated amplitudes")
+            raise UsageError("--input needs three comma-separated amplitudes")
         c0, c1, c2 = (_spec(parse_complex, p) for p in parts)
         norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2)
         if norm == 0.0:
-            raise click.UsageError("--input amplitudes are all zero")
+            raise UsageError("--input amplitudes are all zero")
         return _spec(NumberInputSpec, c0 / norm, c1 / norm, c2 / norm)
     return _spec(NumberInputSpec.from_gamma, 0.0 if gamma is None else gamma)
 
 
-@click.group()
-def main() -> None:
-    """Simulator of linear-optical single-photon QND detection schemes."""
-
-
-@main.command()
-@click.option("--protocol", type=click.Choice(["number", "pol"]), required=True)
-@click.option("--gamma", "gamma_list", default="0,0.1,1,10", show_default=True,
-              help="Comma-separated two-photon fractions.")
-@click.option("--eta2", "eta2_range", default="0.5:1.0:51", show_default=True,
-              help="Detector efficiency range start:stop:steps.")
-@click.option("--theta", default=None, help="Bloch angles 'theta[,phi]' (pol only).")
-@click.option("--transmission", "-T", default=0.5, show_default=True,
-              help="Beam-splitter transmission (number only).")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Write CSV to a file instead of stdout.")
+@command(
+    "sweep",
+    Param(("--protocol",), "protocol", _choice("number", "pol"), required=True),
+    Param(("--gamma",), "gamma_list", default="0,0.1,1,10", show_default=True,
+          help="Comma-separated two-photon fractions."),
+    Param(("--eta2",), "eta2_range", default="0.5:1.0:51", show_default=True,
+          help="Detector efficiency range start:stop:steps."),
+    Param(("--theta",), "theta", help="Bloch angles 'theta[,phi]' (pol only)."),
+    Param(("--transmission", "-T"), "transmission", FLOAT, 0.5, show_default=True,
+          help="Beam-splitter transmission (number only)."),
+    Param(("--out",), "out", Type("FILE", _writable_file),
+          help="Write CSV to a file instead of stdout."),
+)
 def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
     """Sweep detector efficiency and two-photon fraction; emit CSV."""
     try:
         gammas = [float(g) for g in gamma_list.split(",") if g.strip() != ""]
     except ValueError:
-        raise click.UsageError(f"bad gamma list {gamma_list!r}") from None
+        raise UsageError(f"bad gamma list {gamma_list!r}") from None
     if not gammas:
-        raise click.UsageError("gamma list is empty")
+        raise UsageError("gamma list is empty")
     specs = [_spec(NumberInputSpec.from_gamma, g) for g in gammas]
     parts = eta2_range.split(":")
     if len(parts) != 3:
-        raise click.UsageError("eta2 range must be start:stop:steps")
+        raise UsageError("eta2 range must be start:stop:steps")
     try:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise click.UsageError(f"bad eta2 range {eta2_range!r}") from None
+        raise UsageError(f"bad eta2 range {eta2_range!r}") from None
     if not (0.0 <= start < stop <= 1.0) or steps < 2:
-        raise click.UsageError("need 0 <= start < stop <= 1 and steps >= 2")
+        raise UsageError("need 0 <= start < stop <= 1 and steps >= 2")
     if protocol == "number" and not 0.0 < transmission < 1.0:
-        raise click.UsageError(f"transmission must be in (0, 1), got {transmission}")
+        raise UsageError(f"transmission must be in (0, 1), got {transmission}")
     angle = _parse_theta(theta)
     # semicolon keeps the angle pair inside a single CSV field
     theta_field = "" if protocol == "number" else (
@@ -170,30 +467,30 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        _echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@main.command()
-@click.argument(
-    "protocol",
-    type=click.Choice(
-        ["number", "pol", "teleport-number", "teleport-pol", "kerr", "kerr-tau"]
-    ),
+_PROTOCOLS = ("number", "pol", "teleport-number", "teleport-pol", "kerr", "kerr-tau")
+
+
+@command(
+    "run",
+    Param(("{" + "|".join(_PROTOCOLS) + "}",), "protocol", _choice(*_PROTOCOLS)),
+    Param(("--input",), "input_text", help="Amplitudes c0,c1,c2."),
+    Param(("--gamma",), "gamma", FLOAT, help="Two-photon fraction (c0=0)."),
+    Param(("--eta2",), "eta2", FLOAT, 1.0, show_default=True),
+    Param(("--transmission", "-T", "--t"), "transmission", FLOAT, 0.5, show_default=True,
+          help="Beam-splitter transmission (number)."),
+    Param(("--theta",), "theta", help="Bloch angles 'theta[,phi]'."),
+    Param(("--tau",), "tau", FLOAT, math.pi, show_default=True,
+          help="Cross-phase per photon pair (kerr)."),
+    Param(("--epsilon",), "epsilon", FLOAT, 0.01, show_default=True,
+          help="Pair-source amplitude (teleport protocols)."),
+    Param(("--omega",), "omega", FLOAT, help="Carrier frequency rad/s (kerr-tau)."),
+    Param(("--dt",), "dt", FLOAT, help="Interaction time s (kerr-tau)."),
+    Param(("--chi3",), "chi3", FLOAT, help="chi(3) in m^2/V^2 (kerr-tau)."),
+    Param(("--volume",), "volume", FLOAT, help="Interaction volume m^3 (kerr-tau)."),
 )
-@click.option("--input", "input_text", default=None, help="Amplitudes c0,c1,c2.")
-@click.option("--gamma", type=float, default=None, help="Two-photon fraction (c0=0).")
-@click.option("--eta2", type=float, default=1.0, show_default=True)
-@click.option("--transmission", "-T", "--t", "transmission", type=float, default=0.5,
-              show_default=True, help="Beam-splitter transmission (number).")
-@click.option("--theta", default=None, help="Bloch angles 'theta[,phi]'.")
-@click.option("--tau", type=float, default=math.pi, show_default=True,
-              help="Cross-phase per photon pair (kerr).")
-@click.option("--epsilon", type=float, default=0.01, show_default=True,
-              help="Pair-source amplitude (teleport protocols).")
-@click.option("--omega", type=float, default=None, help="Carrier frequency rad/s (kerr-tau).")
-@click.option("--dt", type=float, default=None, help="Interaction time s (kerr-tau).")
-@click.option("--chi3", type=float, default=None, help="chi(3) in m^2/V^2 (kerr-tau).")
-@click.option("--volume", type=float, default=None, help="Interaction volume m^3 (kerr-tau).")
 def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
         omega, dt, chi3, volume):
     """Evaluate one protocol and print a report."""
@@ -202,14 +499,14 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
                    [("--omega", omega), ("--dt", dt), ("--chi3", chi3), ("--volume", volume)]
                    if v is None]
         if missing:
-            raise click.UsageError(f"kerr-tau needs {', '.join(missing)}")
-        _echo(f"tau {_fmt(_kerr_tau(omega, dt, chi3, volume))}")
+            raise UsageError(f"kerr-tau needs {', '.join(missing)}")
+        sys.stdout.write(f"tau {_fmt(_kerr_tau(omega, dt, chi3, volume))}\n")
         return
 
     if not 0.0 <= eta2 <= 1.0:
-        raise click.UsageError("eta2 must be in [0, 1]")
+        raise UsageError("eta2 must be in [0, 1]")
     if protocol == "number" and not 0.0 < transmission < 1.0:
-        raise click.UsageError(f"transmission must be in (0, 1), got {transmission}")
+        raise UsageError(f"transmission must be in (0, 1), got {transmission}")
     if protocol == "kerr":
         _spec(KerrGateSpec, tau)
     src = _spec(PdcSourceSpec, epsilon) if protocol.startswith("teleport") else None
@@ -228,25 +525,29 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
         else:  # kerr
             outc = protocols.kerr_qnd(spec, tau, det)
     except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
 
-    _echo(f"protocol {protocol}")
-    _echo(f"success_probability {_fmt(outc.success_probability)}")
-    _echo(f"fidelity {_fmt(outc.fidelity)}")
-    _echo(f"branches {len(outc.conditional_output.branches)}")
+    lines = [
+        f"protocol {protocol}",
+        f"success_probability {_fmt(outc.success_probability)}",
+        f"fidelity {_fmt(outc.fidelity)}",
+        f"branches {len(outc.conditional_output.branches)}",
+    ]
     for i, (w, st) in enumerate(outc.conditional_output.branches):
         kets = " ".join(
             f"|{','.join(map(str, occ))}>:{_fmt_complex(a)}"
             for occ, a in sorted(st.amplitudes.items())
         )
-        _echo(f"branch {i} weight {_fmt(w)} {kets}")
+        lines.append(f"branch {i} weight {_fmt(w)} {kets}")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--amp", "amps", multiple=True,
-              help="Input ket 'n1,n2,...=c'; repeat to build a superposition.")
+@command(
+    "circuit",
+    Param(("PATH",), "path", Type("PATH", _existing_file)),
+    Param(("--amp",), "amps", multiple=True,
+          help="Input ket 'n1,n2,...=c'; repeat to build a superposition."),
+)
 def circuit(path, amps):
     """Parse a circuit file, dump its unitary, optionally evolve a state."""
     with open(path, encoding="utf-8") as fh:
@@ -254,7 +555,7 @@ def circuit(path, amps):
     try:
         transform = parse_circuit(text)
     except CircuitSyntaxError as exc:
-        _echo(f"error: {exc}", err=True)
+        sys.stderr.write(f"error: {exc}\n")
         sys.exit(2)
     # the input state is built first, so a malformed --amp prints nothing
     state = None
@@ -262,49 +563,49 @@ def circuit(path, amps):
         state_amps: dict[tuple[int, ...], complex] = {}
         for item in amps:
             if "=" not in item:
-                raise click.UsageError(f"bad --amp {item!r}, expected 'n1,n2,...=c'")
+                raise UsageError(f"bad --amp {item!r}, expected 'n1,n2,...=c'")
             occ_text, amp_text = item.rsplit("=", 1)
             try:
                 occ = tuple(int(n) for n in occ_text.split(","))
             except ValueError:
-                raise click.UsageError(f"bad occupation in {item!r}") from None
+                raise UsageError(f"bad occupation in {item!r}") from None
             state_amps[occ] = state_amps.get(occ, 0j) + _spec(parse_complex, amp_text)
         state = _spec(FockState, transform.channels, state_amps)
         state = _spec(state.normalized)
-    _echo("channels " + " ".join(str(c) for c in transform.channels))
-    for row in transform.matrix:
-        _echo(" ".join(_fmt_complex(z) for z in row))
+    lines = ["channels " + " ".join(str(c) for c in transform.channels)]
+    lines += [" ".join(_fmt_complex(z) for z in row) for row in transform.matrix]
+    sys.stdout.write("\n".join(lines) + "\n")
     if state is not None:
         try:
             result = apply_transform(transform, state)
         except ValueError as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        _echo("output")
-        for occ, a in sorted(result.amplitudes.items()):
-            _echo(f"|{','.join(map(str, occ))}> {_fmt_complex(a)}")
+            _fail(exc)
+        lines = ["output"]
+        lines += [f"|{','.join(map(str, occ))}> {_fmt_complex(a)}"
+                  for occ, a in sorted(result.amplitudes.items())]
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
-@main.command("kerr-tau")
-@click.option("--omega", type=float, required=True, help="Carrier frequency, rad/s.")
-@click.option("--dt", type=float, required=True, help="Interaction time, s.")
-@click.option("--chi3", type=float, required=True, help="chi(3), m^2/V^2.")
-@click.option("--volume", type=float, required=True, help="Interaction volume, m^3.")
+@command(
+    "kerr-tau",
+    Param(("--omega",), "omega", FLOAT, required=True, help="Carrier frequency, rad/s."),
+    Param(("--dt",), "dt", FLOAT, required=True, help="Interaction time, s."),
+    Param(("--chi3",), "chi3", FLOAT, required=True, help="chi(3), m^2/V^2."),
+    Param(("--volume",), "volume", FLOAT, required=True, help="Interaction volume, m^3."),
+)
 def kerr_tau_cmd(omega, dt, chi3, volume):
     """Dimensionless Kerr coupling for the given material parameters."""
-    _echo(_fmt(_kerr_tau(omega, dt, chi3, volume)))
+    sys.stdout.write(_fmt(_kerr_tau(omega, dt, chi3, volume)) + "\n")
 
 
-@main.command("noon-bound")
-@click.argument("n", type=int)
+@command("noon-bound", Param(("N",), "n", INTEGER))
 def noon_bound_cmd(n):
     """Minimum resolvable cross-phase pi/(2 N) for an N-photon noon probe."""
     try:
         value = protocols.noon_bound(n)
     except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _echo(_fmt(value))
+        _fail(exc)
+    sys.stdout.write(_fmt(value) + "\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 NORM_TOL = 1e-12
@@ -52,7 +53,7 @@ class Mode:
     spatial: str
     polarized: bool = False
 
-    @property
+    @cached_property  # kept in the instance's __dict__, outside eq, hash and repr
     def channels(self) -> tuple[Channel, ...]:
         if self.polarized:
             return (Channel(self.spatial, "H"), Channel(self.spatial, "V"))

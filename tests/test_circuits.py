@@ -243,6 +243,12 @@ class TestErrors:
         with pytest.raises(CircuitSyntaxError, match="unitary"):
             parse_circuit("mode a\nmatrix 1 0.5+0i\n")
 
+    def test_non_unitary_product(self):
+        # each block deviates 8e-13, within tolerance; their product 8e-12 does not
+        text = "mode a\n" + "matrix 1 1.0000000000004\n" * 10
+        with pytest.raises(CircuitSyntaxError, match="line 11: circuit product: .*not unitary"):
+            parse_circuit(text)
+
     def test_bad_complex_literal(self):
         with pytest.raises(CircuitSyntaxError, match="complex"):
             parse_circuit("mode a\nmatrix 1 zzz\n")

@@ -3,14 +3,17 @@ import csv
 import gc
 import io
 import math
+import os
+import subprocess
+import sys
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from qndsim import protocols
-from qndsim.cli import main
+from qndsim.cli import COMMANDS, main
 from qndsim.detection import DetectorModel
 from qndsim.protocols import (
     NumberInputSpec,
@@ -22,10 +25,34 @@ from qndsim.protocols import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@dataclass(frozen=True)
+class Result:
+    exit_code: int | None
+    stdout: str
+    stderr: str
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode("utf-8")
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
 
 
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    """Run `qndsim *args` in process: its exit code and what it wrote where.
+
+    Every run must end in SystemExit, and any other exception propagates.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=list(args), prog_name="qndsim")
+    return Result(exc.value.code, out.getvalue(), err.getvalue())
 
 
 def parse_csv(text):
@@ -306,6 +333,8 @@ class TestCircuit:
             ("mode a\nmode b\nmatrix 2 nan 0 0 1\n", "not unitary"),
             ("mode a\nmatrix -1 1\n", "bad size '-1'"),
             ("mode a\nmatrix -1\n", "bad size '-1'"),
+            ("mode a\n" + "matrix 1 1.0000000000004\n" * 10,
+             "line 11: circuit product: matrix is not unitary (deviation 7.998e-12)"),
         ]
         for text, message in cases:
             bad = tmp_path / "bad.qc"
@@ -399,3 +428,138 @@ class TestCalculatorCommands:
         res = invoke("noon-bound", "1")
         assert float(res.output) == pytest.approx(math.pi / 2)
         assert invoke("noon-bound", "0").exit_code == 1
+
+
+# (argv, the message after 'Error: '): the texts the earlier click-based CLI printed
+USAGE_ERRORS = [
+    (("run", "number", "--bogus", "1"), "No such option '--bogus'."),
+    (("run", "number", "--eta", "1"),
+     "No such option '--eta'. (Did you mean one of: '--eta2', '--tau', '--theta'?)"),
+    (("run", "number", "--inpu", "1"), "No such option '--inpu'. Did you mean '--input'?"),
+    (("run", "number", "-X"), "No such option '-X'."),
+    (("noon-bound", "-1"), "No such option '-1'."),
+    (("run", "number", "--eta2"), "Option '--eta2' requires an argument."),
+    (("circuit", _FOUR, "--amp"), "Option '--amp' requires an argument."),
+    (("run", "number", "--eta2", "x"), "Invalid value for '--eta2': 'x' is not a valid float."),
+    (("run", "number", "-Tx"),
+     "Invalid value for '--transmission' / '-T' / '--t': 'x' is not a valid float."),
+    (("run", "number", "-T", "--eta2"),
+     "Invalid value for '--transmission' / '-T' / '--t': '--eta2' is not a valid float."),
+    (("noon-bound", "1.5"), "Invalid value for 'N': '1.5' is not a valid integer."),
+    (("sweep", "--protocol", "x"),
+     "Invalid value for '--protocol': 'x' is not one of 'number', 'pol'."),
+    (("run", "warp"), "Invalid value for '{number|pol|teleport-number|teleport-pol|kerr|"
+                      "kerr-tau}': 'warp' is not one of 'number', 'pol', "
+                      "'teleport-number', 'teleport-pol', 'kerr', 'kerr-tau'."),
+    (("run", "number", "extra"), "Got unexpected extra argument (extra)"),
+    (("run", "number", "--", "--eta2"), "Got unexpected extra argument (--eta2)"),
+    (("noon-bound", "1", "2", "3"), "Got unexpected extra arguments (2 3)"),
+    (("run", "number", "--help=1"), "Option '--help' does not take a value."),
+    (("circuit", "/nonexistent.qc"),
+     "Invalid value for 'PATH': File '/nonexistent.qc' does not exist."),
+    (("kerr-tau", "--omega", "1", "--dt", "1"), "Missing option '--chi3'."),
+    (("noon-bound",), "Missing argument 'N'."),
+    (("bogus",), "No such command 'bogus'."),
+    (("ru",), "No such command 'ru'. Did you mean 'run'?"),
+    (("-h",), "No such option '-h'."),
+]
+
+
+class TestParser:
+    """The argv rules: values verbatim, glued values, interleaving, last wins."""
+
+    def test_value_starting_with_dash_is_taken_verbatim(self):
+        res = invoke("run", "number", "--input", "-0.5,0.5,0.7071")
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert res.stdout == ("protocol number\n"
+                              "success_probability 0.0312502996904\n"
+                              "fidelity 1\n"
+                              "branches 1\n"
+                              "branch 0 weight 0.0312502996904 |1>:-1+0i\n")
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (("run", "number", "--eta2=0.9"), ("run", "number", "--eta2", "0.9")),
+        (("run", "number", "-T0.3"), ("run", "number", "-T", "0.3")),
+        (("run", "number", "--input=-0.5,0.5,0.7071"),
+         ("run", "number", "--input", "-0.5,0.5,0.7071")),
+        (("run", "--eta2", "0.9", "number"), ("run", "number", "--eta2", "0.9")),
+        (("run", "--", "number"), ("run", "number")),
+        (("run", "number", "-T", "0.2", "--eta2", "0.5", "-T", "0.3", "--eta2=0.9"),
+         ("run", "number", "-T", "0.3", "--eta2", "0.9")),
+        # an overridden value is never converted
+        (("run", "number", "--gamma", "zz", "--gamma", "1"), ("run", "number", "--gamma", "1")),
+        (("sweep", "--protocol=pol", "--eta2=0.5:1:2"),
+         ("sweep", "--protocol", "pol", "--eta2", "0.5:1:2")),
+        (("sweep", "--protocol", "number", "--eta2", "0.5:1:2", "-T", "0.1", "-T0.3"),
+         ("sweep", "--protocol", "number", "--eta2", "0.5:1:2", "--transmission", "0.3")),
+    ], ids=["eq", "glued-short", "eq-dash-value", "interleaved", "double-dash",
+            "last-wins", "last-wins-unconverted", "sweep-eq", "sweep-last-wins"])
+    def test_equivalent_spellings(self, argv, same_as):
+        res, expected = invoke(*argv), invoke(*same_as)
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert res.stdout == expected.stdout
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                             ids=[" ".join(Path(a).name for a in argv) for argv, _ in USAGE_ERRORS])
+    def test_usage_error(self, argv, message):
+        res = invoke(*argv)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.endswith(f"\nError: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep",), ("sweep", "--gamma", "1", "--eta2", "0.5:1:2"),
+    ], ids=["bare", "with-options"])
+    def test_sweep_needs_protocol(self, argv):
+        res = invoke(*argv)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr.endswith(
+            "\nError: Missing option '--protocol'. Choose from:\n\tnumber,\n\tpol\n")
+
+    def test_errors_reported_in_invocation_order(self):
+        # click's order: options as they first appear, then positionals
+        res = invoke("run", "warp", "--eta2", "x", "--gamma", "y")
+        assert res.stderr.endswith("Error: Invalid value for '--eta2': 'x' is not a valid float.\n")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--help", "bogus"),
+                                      *((name, "--help") for name in COMMANDS)], ids=" ".join)
+    def test_help_on_stdout(self, argv):
+        res = invoke(*argv)
+        assert (res.exit_code, res.stderr) == (0, "")
+        name = "" if argv[0] == "--help" else f" {argv[0]}"
+        assert res.stdout.startswith(f"Usage: qndsim{name} [OPTIONS]")
+        assert "--help  " in res.stdout
+        if name:
+            for p in COMMANDS[argv[0]].params:
+                assert all(n in res.stdout for n in p.names)
+                assert p.help in res.stdout
+                if p.show_default:
+                    assert f"[default: {p.default}]" in res.stdout
+        else:
+            assert all(f"  {n}  " in res.stdout for n in COMMANDS)
+
+    def test_no_command_prints_help_as_usage_error(self):
+        res = invoke()
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == invoke("--help").stdout
+
+    def test_interrupt_aborts(self, monkeypatch):
+        def interrupted(n):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(protocols, "noon_bound", interrupted)
+        res = invoke("noon-bound", "3")
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", "\nAborted!\n")
+
+    @pytest.mark.parametrize("argv", [("noon-bound", "1"), ("sweep", "--protocol", "number")],
+                             ids=["short", "long"])
+    def test_closed_stdout_pipe_exits_one_quietly(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before the command writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from qndsim.cli import main; main()", *argv],
+                stdout=write, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")

@@ -96,6 +96,14 @@ class TestFockState:
         assert m.channels == (Channel("a", "H"), Channel("a", "V"))
         assert Mode("a").channels == (Channel("a"),)
 
+    def test_mode_builds_its_channels_once(self):
+        m = Mode("a", polarized=True)
+        assert m.channels is m.channels
+        # the cached tuple stays out of equality, hashing and repr
+        assert m == Mode("a", polarized=True)
+        assert hash(m) == hash(Mode("a", polarized=True))
+        assert repr(m) == "Mode(spatial='a', polarized=True)"
+
     def test_normalized(self):
         st = FockState((A,), {(0,): 3.0, (1,): 4.0}).normalized()
         assert st.norm_squared() == pytest.approx(1.0, abs=1e-12)

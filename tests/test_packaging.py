@@ -23,13 +23,27 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
-def test_runtime_imports_are_declared_dependencies():
+def declared_dependencies() -> set[str]:
     with open(ROOT / "pyproject.toml", "rb") as fh:
         requirements = tomllib.load(fh)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
-    undeclared = {}
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+
+def third_party_imports() -> dict[str, list[str]]:
+    """Each third-party module `src/qndsim` imports, with the files importing it."""
+    found = {}
     for path in sorted((ROOT / "src" / "qndsim").glob("*.py")):
         for name in imported_modules(path) - set(sys.stdlib_module_names):
-            if name.lower() not in declared:
-                undeclared.setdefault(name, []).append(path.name)
+            found.setdefault(name.lower(), []).append(path.name)
+    return found
+
+
+def test_runtime_imports_are_declared_dependencies():
+    declared = declared_dependencies()
+    undeclared = {n: files for n, files in third_party_imports().items() if n not in declared}
     assert undeclared == {}, f"imported but not in [project].dependencies: {undeclared}"
+
+
+def test_declared_dependencies_are_imported():
+    """numpy is the one runtime dependency; the CLI parses argv with the standard library."""
+    assert declared_dependencies() == set(third_party_imports()) == {"numpy"}
