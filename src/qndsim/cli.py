@@ -309,7 +309,7 @@ class Program:
                 _dispatch(sys.argv[1:] if args is None else list(args), prog_name)
             finally:
                 sys.stdout.flush()  # so that a closed pipe shows here, not at exit
-        except (KeyboardInterrupt, EOFError):
+        except KeyboardInterrupt:
             sys.stderr.write("\nAborted!\n")
             sys.exit(1)
         except BrokenPipeError:
