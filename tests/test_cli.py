@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from qndsim import protocols
-from qndsim.cli import COMMANDS, main
+from qndsim.cli import main
 from qndsim.detection import DetectorModel
 from qndsim.protocols import (
     NumberInputSpec,
@@ -521,7 +521,7 @@ class TestParser:
         assert res.stderr.endswith("Error: Invalid value for '--eta2': 'x' is not a valid float.\n")
 
     @pytest.mark.parametrize("argv", [("--help",), ("--help", "bogus"),
-                                      *((name, "--help") for name in COMMANDS)], ids=" ".join)
+                                      *((name, "--help") for name in main.commands)], ids=" ".join)
     def test_help_on_stdout(self, argv):
         res = invoke(*argv)
         assert (res.exit_code, res.stderr) == (0, "")
@@ -529,13 +529,13 @@ class TestParser:
         assert res.stdout.startswith(f"Usage: qndsim{name} [OPTIONS]")
         assert "--help  " in res.stdout
         if name:
-            for p in COMMANDS[argv[0]].params:
+            for p in main.commands[argv[0]].params:
                 assert all(n in res.stdout for n in p.names)
                 assert p.help in res.stdout
                 if p.show_default:
                     assert f"[default: {p.default}]" in res.stdout
         else:
-            assert all(f"  {n}  " in res.stdout for n in COMMANDS)
+            assert all(f"  {n}  " in res.stdout for n in main.commands)
 
     def test_no_command_prints_help_as_usage_error(self):
         res = invoke()
