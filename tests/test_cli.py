@@ -554,11 +554,14 @@ class TestParser:
     def test_closed_stdout_pipe_exits_one_quietly(self, argv):
         read, write = os.pipe()
         os.close(read)  # the reader has gone before the command writes
+        # stdout block-buffered, Python's default for a pipe: a short report
+        # then meets the closed pipe only when it is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         try:
             proc = subprocess.run(
                 [sys.executable, "-c", "from qndsim.cli import main; main()", *argv],
                 stdout=write, stderr=subprocess.PIPE, timeout=60,
-                env={**os.environ, "PYTHONPATH": str(SRC)},
+                env={**env, "PYTHONPATH": str(SRC)},
             )
         finally:
             os.close(write)
