@@ -92,12 +92,12 @@ def _parse_input(text: str | None, gamma: float | None) -> NumberInputSpec:
 @main.command(
     "sweep",
     Param(("--protocol",), "protocol", choice("number", "pol"), required=True),
-    Param(("--gamma",), "gamma_list", default="0,0.1,1,10", show_default=True,
+    Param(("--gamma",), "gamma_list", default="0,0.1,1,10",
           help="Comma-separated two-photon fractions."),
-    Param(("--eta2",), "eta2_range", default="0.5:1.0:51", show_default=True,
+    Param(("--eta2",), "eta2_range", default="0.5:1.0:51",
           help="Detector efficiency range start:stop:steps."),
     Param(("--theta",), "theta", help="Bloch angles 'theta[,phi]' (pol only)."),
-    Param(("--transmission", "-T"), "transmission", FLOAT, 0.5, show_default=True,
+    Param(("--transmission", "-T"), "transmission", FLOAT, 0.5,
           help="Beam-splitter transmission (number only)."),
     Param(("--out",), "out", FILE,
           help="Write CSV to a file instead of stdout."),
@@ -175,13 +175,13 @@ _PROTOCOLS = ("number", "pol", "teleport-number", "teleport-pol", "kerr", "kerr-
     Param(("{" + "|".join(_PROTOCOLS) + "}",), "protocol", choice(*_PROTOCOLS)),
     Param(("--input",), "input_text", help="Amplitudes c0,c1,c2."),
     Param(("--gamma",), "gamma", FLOAT, help="Two-photon fraction (c0=0)."),
-    Param(("--eta2",), "eta2", FLOAT, 1.0, show_default=True),
-    Param(("--transmission", "-T", "--t"), "transmission", FLOAT, 0.5, show_default=True,
+    Param(("--eta2",), "eta2", FLOAT, 1.0),
+    Param(("--transmission", "-T", "--t"), "transmission", FLOAT, 0.5,
           help="Beam-splitter transmission (number)."),
     Param(("--theta",), "theta", help="Bloch angles 'theta[,phi]'."),
-    Param(("--tau",), "tau", FLOAT, math.pi, show_default=True,
+    Param(("--tau",), "tau", FLOAT, math.pi,
           help="Cross-phase per photon pair (kerr)."),
-    Param(("--epsilon",), "epsilon", FLOAT, 0.01, show_default=True,
+    Param(("--epsilon",), "epsilon", FLOAT, 0.01,
           help="Pair-source amplitude (teleport protocols)."),
     Param(("--omega",), "omega", FLOAT, help="Carrier frequency rad/s (kerr-tau)."),
     Param(("--dt",), "dt", FLOAT, help="Interaction time s (kerr-tau)."),

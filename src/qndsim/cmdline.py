@@ -20,6 +20,7 @@ error writes nothing on stdout and `Error: <message>` on stderr.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from typing import Any, Callable, NamedTuple
@@ -87,7 +88,7 @@ class Param(NamedTuple):
 
     A positional's one name is what usage lines and error messages call it.
     Positionals are required; an absent option takes `default`, or `()` if
-    it is `multiple`.
+    it is `multiple`.  `--help` shows a default that is not None.
     """
 
     names: tuple[str, ...]
@@ -97,7 +98,6 @@ class Param(NamedTuple):
     help: str = ""
     required: bool = False
     multiple: bool = False
-    show_default: bool = False
 
     @property
     def is_option(self) -> bool:
@@ -250,7 +250,7 @@ class Program:
                 names = sorted(p.names, key=lambda n: len(n) - len(n.lstrip("-")))
                 flag = ", ".join(names) + ("" if p is _HELP else f" {p.type.metavar}")
                 notes = [p.help] if p.help else []
-                if p.show_default:
+                if p.default is not None:
                     notes.append(f"[default: {p.default}]")
                 if p.required:
                     notes.append("[required]")
@@ -305,14 +305,11 @@ class Program:
             sys.stderr.write("\nAborted!\n")
             sys.exit(1)
         except BrokenPipeError:
-            # the reader has gone; send what stdout still buffers to devnull,
-            # so that the flush at exit raises no second error
-            try:
-                fd = sys.stdout.fileno()
-            except (OSError, ValueError):  # not a file-backed stream
-                pass
-            else:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            # The reader has gone.  Meant for the console-script process: the
+            # flush at exit then meets an in-memory sink, not the broken
+            # stream, and raises no second error.  File descriptor 1 is left
+            # as it is.
+            sys.stdout = io.StringIO()
             sys.exit(1)
         sys.exit(0)
 

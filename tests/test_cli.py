@@ -532,7 +532,7 @@ class TestParser:
             for p in main.commands[argv[0]].params:
                 assert all(n in res.stdout for n in p.names)
                 assert p.help in res.stdout
-                if p.show_default:
+                if p.default is not None:
                     assert f"[default: {p.default}]" in res.stdout
         else:
             assert all(f"  {n}  " in res.stdout for n in main.commands)
