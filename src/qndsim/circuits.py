@@ -20,15 +20,14 @@ from .optics import (
     BeamSplitterSpec,
     ModeTransform,
     NonUnitaryError,
-    _padded,
     beam_splitter,
+    compose,
+    identity_transform,
     matrix_transform,
     phase_shifter,
     polarization_rotator,
     polarizing_beam_splitter,
 )
-
-import numpy as np
 
 
 class CircuitSyntaxError(ValueError):
@@ -87,10 +86,7 @@ def parse_circuit(text: str) -> ModeTransform:
                     args = args[:-1]
                 if len(args) != 3:
                     raise CircuitSyntaxError(line_no, "usage: bs <m1> <m2> T=<float> [flip]")
-                t_val = _kwarg(args[2], "T", line_no)
-                if not 0.0 <= t_val <= 1.0:
-                    raise CircuitSyntaxError(line_no, "transmission out of range [0, 1]")
-                spec = BeamSplitterSpec(t_val, flip=flip)
+                spec = BeamSplitterSpec(_kwarg(args[2], "T", line_no), flip=flip)
                 transforms.append(
                     beam_splitter(spec, get_mode(args[0], line_no), get_mode(args[1], line_no))
                 )
@@ -131,10 +127,9 @@ def parse_circuit(text: str) -> ModeTransform:
                     raise CircuitSyntaxError(
                         line_no, f"matrix size {k} exceeds {len(declared)} declared channels"
                     )
-                mat = np.array(
-                    [parse_complex(tok) for tok in entries], dtype=complex
-                ).reshape(k, k)
-                transforms.append(matrix_transform(declared[:k], mat))
+                values = [parse_complex(tok) for tok in entries]
+                rows = [values[r * k : (r + 1) * k] for r in range(k)]
+                transforms.append(matrix_transform(declared[:k], rows))
             else:
                 raise CircuitSyntaxError(line_no, f"unknown element {op!r}")
         except (ValueError, TypeError) as exc:
@@ -145,15 +140,10 @@ def parse_circuit(text: str) -> ModeTransform:
     if not modes:
         raise CircuitSyntaxError(1, "no modes declared")
     all_channels = [c for m in modes.values() for c in m.channels]
-    index = {c: i for i, c in enumerate(all_channels)}
-    # compose's product, in its matmul order from the identity (a -0 that a
-    # golden prints depends on it); the builders validated their parameters
-    # and each raw matrix was checked, and the product is checked once, here
-    total = np.eye(len(all_channels), dtype=complex)
-    for t in transforms:
-        total = _padded(t, index) @ total
+    # from the identity, so the product spans every declared channel in order;
+    # the builders validated their parameters and each raw matrix was checked
     try:
-        return ModeTransform(all_channels, total)
+        return compose(identity_transform(all_channels), *transforms)
     except NonUnitaryError as exc:
         # blocks each within tolerance can compound past it; blame the last line
         raise CircuitSyntaxError(line_no, f"circuit product: {exc}") from exc

@@ -33,9 +33,8 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    re, im = _fmt(z.real), _fmt(z.imag)
     sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{_fmt(abs(z.imag))}i"
+    return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
 
 
 def _fail(exc: Exception) -> None:
@@ -82,9 +81,17 @@ def _parse_input(text: str | None, gamma: float | None) -> NumberInputSpec:
         if len(parts) != 3:
             raise UsageError("--input needs three comma-separated amplitudes")
         c0, c1, c2 = (_spec(parse_complex, p) for p in parts)
-        norm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2)
-        if norm == 0.0:
+        if not (c0 or c1 or c2):
             raise UsageError("--input amplitudes are all zero")
+        try:
+            total = abs(c0) ** 2 + abs(c1) ** 2 + abs(c2) ** 2
+        except OverflowError:
+            total = math.inf
+        # a sum of squares below the normal floats has lost the norm's precision
+        if total == math.inf or total < sys.float_info.min:
+            size = "large" if total == math.inf else "small"
+            raise UsageError(f"--input amplitudes too {size} to normalize: {text}")
+        norm = math.sqrt(total)
         return _spec(NumberInputSpec, c0 / norm, c1 / norm, c2 / norm)
     return _spec(NumberInputSpec.from_gamma, 0.0 if gamma is None else gamma)
 
@@ -161,8 +168,11 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
             )
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(exc)
     else:
         sys.stdout.write(text)
 
@@ -247,11 +257,10 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
 )
 def circuit(path, amps):
     """Parse a circuit file, dump its unitary, optionally evolve a state."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        transform = parse_circuit(text)
-    except CircuitSyntaxError as exc:
+        with open(path, encoding="utf-8") as fh:
+            transform = parse_circuit(fh.read())
+    except (UnicodeDecodeError, CircuitSyntaxError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.exit(2)
     # the input state is built first, so a malformed --amp prints nothing

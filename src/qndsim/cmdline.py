@@ -73,6 +73,9 @@ def _writable_file(text: str) -> str:
         raise ValueError(f"File {text!r} is a directory.")
     if os.path.exists(text) and not os.access(text, os.W_OK):
         raise ValueError(f"File {text!r} is not writable.")
+    parent = os.path.dirname(text) or os.curdir
+    if not os.path.isdir(parent):
+        raise ValueError(f"File {text!r}: {parent!r} is not a directory.")
     return text
 
 

@@ -199,8 +199,7 @@ class TargetOverlaps:
 
         The default suits a unit-weight ensemble.  A caller that has already
         summed the weights passes that sum, and each weight is divided by it
-        here, as `MixedState.renormalized` would; the divided weights must
-        still sum to 1.
+        here; the divided weights must still sum to 1.
         """
         if not total > 0.0:  # also rejects NaN
             raise ValueError("fidelity of a zero-weight ensemble is undefined")

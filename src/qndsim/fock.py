@@ -236,8 +236,8 @@ def inner_product(a: FockState, b: FockState) -> complex:
 class MixedState:
     """Probability-weighted ensemble of pure states (all on the same channels).
 
-    Weights are unnormalized conditional probabilities until `renormalized` is
-    called; each branch state is individually normalized.
+    Weights are unnormalized conditional probabilities; each branch state is
+    individually normalized.
     """
 
     branches: tuple[tuple[float, FockState], ...]
@@ -261,8 +261,3 @@ class MixedState:
     def total_weight(self) -> float:
         return math.fsum(w for w, _ in self.branches)
 
-    def renormalized(self) -> "MixedState":
-        total = self.total_weight()
-        if total <= 0.0:
-            raise ValueError("cannot renormalize zero-weight ensemble")
-        return MixedState(tuple((w / total, st) for w, st in self.branches))

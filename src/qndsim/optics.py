@@ -72,10 +72,17 @@ class ModeTransform:
     def __init__(self, channels: Iterable[ChannelLike], matrix: np.ndarray):
         chans = as_channels(channels)
         mat = np.asarray(matrix, dtype=complex)
+        if not chans and not mat.size:
+            mat = mat.reshape(0, 0)  # [] has shape (0,)
         if mat.shape != (len(chans), len(chans)):
             raise ValueError(f"matrix shape {mat.shape} for {len(chans)} channels")
+        # a unitary's entries lie in the unit disc; one past 2, or NaN, is
+        # refused before the product, which it could overflow or fill with NaN
+        peak = np.abs(mat).max(initial=0.0)
+        if not peak <= 2.0:
+            raise NonUnitaryError(f"matrix is not unitary (entry of magnitude {peak:.3e})")
         dev = np.linalg.norm(mat.conj().T @ mat - np.eye(len(chans)))
-        if not dev <= UNITARY_TOL:  # also rejects NaN
+        if not dev <= UNITARY_TOL:
             raise NonUnitaryError(f"matrix is not unitary (deviation {dev:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "channels", chans)
@@ -109,32 +116,34 @@ class ModeTransform:
         for c in self.channels:
             if c not in index:
                 raise ModeMismatchError(f"cannot embed: {c} missing from target")
-        return ModeTransform._trusted(chans, _padded(self, index))
+        at = [index[c] for c in self.channels]
+        return ModeTransform._trusted(chans, _padded(self, at, len(chans)))
 
     def __repr__(self) -> str:
         labels = ",".join(str(c) for c in self.channels)
         return f"ModeTransform([{labels}])"
 
 
-def _padded(t: ModeTransform, index: Mapping[Channel, int]) -> np.ndarray:
-    """The identity on `index`'s channels with `t.matrix` set, entry by entry,
-    at the rows and columns of `t`'s channels (all of them in `index`)."""
-    out = np.eye(len(index), dtype=complex)
-    idx = [index[c] for c in t.channels]
-    for i, row in zip(idx, t.matrix.tolist()):
-        for j, z in zip(idx, row):
+def _padded(t: ModeTransform, at: list[int], n: int) -> np.ndarray:
+    """The n x n identity with `t.matrix` set, entry by entry, at the rows and
+    columns `at` (the positions of `t`'s channels)."""
+    if len(at) == n and at == list(range(n)):
+        return t.matrix  # already on these channels, in this order
+    out = np.eye(n, dtype=complex)
+    for i, row in zip(at, t.matrix.tolist()):
+        for j, z in zip(at, row):
             out[i, j] = z
     return out
 
 
 def identity_transform(channels: Iterable[ChannelLike]) -> ModeTransform:
     chans = as_channels(channels)
-    return ModeTransform(chans, np.eye(len(chans)))
+    return ModeTransform._trusted(chans, np.eye(len(chans), dtype=complex))
 
 
 def matrix_transform(channels: Iterable[ChannelLike], matrix) -> ModeTransform:
-    """Raw unitary block over the given channels (validated at construction)."""
-    return ModeTransform(channels, np.asarray(matrix, dtype=complex))
+    """Raw unitary block (array or nested rows) over the given channels."""
+    return ModeTransform(channels, matrix)
 
 
 def _mode_channels(m: ChannelLike) -> tuple[Channel, ...]:
@@ -203,15 +212,16 @@ def polarizing_beam_splitter(in1: Mode, in2: Mode) -> ModeTransform:
     return ModeTransform._trusted(chans, mat)
 
 
-def compose(t1: ModeTransform, t2: ModeTransform) -> ModeTransform:
-    """Transform equal to t1 followed by t2 (identity-padded on the union)."""
-    chans = list(t1.channels)
-    for c in t2.channels:
-        if c not in chans:
-            chans.append(c)
-    u1 = t1.embedded(chans).matrix
-    u2 = t2.embedded(chans).matrix
-    return ModeTransform(chans, u2 @ u1)
+def compose(first: ModeTransform, *rest: ModeTransform) -> ModeTransform:
+    """`first` followed by each of `rest`: padded(t_k) @ ... @ padded(first), each
+    factor identity-padded onto the union of the channels in order of first appearance."""
+    index: dict[Channel, int] = {}  # union channel -> position, in one pass
+    placed = [(t, [index.setdefault(c, len(index)) for c in t.channels])
+              for t in (first, *rest)]
+    total = _padded(*placed[0], len(index))
+    for t, at in placed[1:]:
+        total = _padded(t, at, len(index)) @ total
+    return ModeTransform(tuple(index), total)  # the product, checked once
 
 
 def apply(

@@ -21,8 +21,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .detection import (
     IDEAL,
     DetectorModel,
@@ -143,11 +141,6 @@ class PdcSourceSpec:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon out of range (0, 1): {self.epsilon}")
 
-    @property
-    def p_pdc(self) -> float:
-        """Pair probability epsilon^2."""
-        return self.epsilon**2
-
 
 @dataclass(frozen=True)
 class KerrStrengthParams:
@@ -228,7 +221,8 @@ def number_device_transform(transmission: float = 0.5) -> ModeTransform:
     cols = [[t, 0.0, -r, 0.0], [0.0, t, 0.0, -r],
             [r * h, r * h, t * h, t * h], [-r * h, r * h, -t * h, t * h]]
     # + 0.0 turns the -0.0 of a zero factor at T = 0 or 1 into the chain's 0.0
-    return matrix_transform((_A, _B, _C, _D), np.array(cols).T + 0.0)
+    rows = [[z + 0.0 for z in row] for row in zip(*cols)]
+    return matrix_transform((_A, _B, _C, _D), rows)
 
 
 def number_device(input: NumberInputSpec, transmission: float = 0.5) -> EvolvedDevice:
@@ -294,7 +288,7 @@ def pol_device_transform() -> ModeTransform:
         [0, 2 / s6, 0, 0, 1 / s6, 1 / s6],
         [-2 / s6, 0, 0, 0, -1 / s6, 1 / s6],
     ]
-    return matrix_transform(_POL_CHANNELS, np.array(cols).T)
+    return matrix_transform(_POL_CHANNELS, list(zip(*cols)))
 
 
 _POL_TRANSFORM = pol_device_transform()

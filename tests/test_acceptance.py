@@ -206,7 +206,7 @@ def test_criterion_08_teleportation_contrast():
     scaled = []
     for eps in (0.01, 0.001):
         src = PdcSourceSpec(eps)
-        p = src.p_pdc
+        p = eps**2  # pair probability
         bound = (1.0 - p) ** -2 - 1.0
         worst = 0.0
         for gbar in (0.0, 0.01, 1.0, 100.0):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,18 @@ class TestErrors:
     def test_non_unitary_matrix(self):
         with pytest.raises(CircuitSyntaxError, match="unitary"):
             parse_circuit("mode a\nmatrix 1 0.5+0i\n")
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1e400", "entry of magnitude inf"),
+        ("-1e400i", "entry of magnitude inf"),
+        ("nan", "entry of magnitude nan"),
+        ("1e200", "entry of magnitude 1.000e+200"),  # its square overflows
+        ("inf", "bad complex literal 'inf'"),
+    ])
+    def test_non_finite_or_huge_matrix_entry(self, entry, message):
+        """Refused before the unitarity product, which would warn (an error here)."""
+        with pytest.raises(CircuitSyntaxError, match=f"line 3: .*{re.escape(message)}"):
+            parse_circuit(f"mode a\nmode b\nmatrix 2 1 0 0 {entry}\n")
 
     def test_non_unitary_product(self):
         # each block deviates 8e-13, within tolerance; their product 8e-12 does not

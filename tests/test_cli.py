@@ -130,6 +130,27 @@ class TestSweep:
         assert res.exit_code == 0
         assert target.read_text().startswith("protocol,")
 
+    def test_out_file_in_missing_directory_usage_error(self, monkeypatch, tmp_path):
+        def refused(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(protocols, "number_device", refused)
+        target = tmp_path / "missing" / "sweep.csv"
+        res = invoke("sweep", "--protocol", "number", "--eta2", "0.5:1.0:2",
+                     "--out", str(target))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "is not a directory" in res.stderr
+        assert not target.parent.exists()
+
+    def test_out_file_write_error_exits_one(self, tmp_path):
+        target = tmp_path / ("x" * 300)  # longer than a file name may be
+        res = invoke("sweep", "--protocol", "number", "--eta2", "0.5:1.0:2",
+                     "--out", str(target))
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     def test_invalid_range_usage_error(self):
         assert invoke("sweep", "--protocol", "number", "--eta2", "0.9:0.5:5").exit_code == 2
         assert invoke("sweep", "--protocol", "number", "--eta2", "junk").exit_code == 2
@@ -273,6 +294,27 @@ class TestRun:
     def test_nan_input_amplitude_usage_error(self):
         assert invoke("run", "number", "--input", "0,nan,0").exit_code == 2
 
+    @pytest.mark.parametrize("amps, size", [
+        ("1e200,0,0", "large"),
+        ("0,0,1e300+1e300i", "large"),
+        ("0,1e-200,0", "small"),
+        ("0,1e-160,0", "small"),  # the square is subnormal: the norm loses digits
+    ])
+    def test_input_amplitudes_beyond_normalizing_usage_error(self, amps, size):
+        res = invoke("run", "number", "--input", amps)
+        assert res.exit_code == 2
+        assert f"--input amplitudes too {size} to normalize" in res.stderr
+
+    @pytest.mark.parametrize("amps", ["1e150,0,0", "0,1e-150,0"])
+    def test_input_amplitudes_near_the_edges_normalized(self, amps):
+        res = invoke("run", "number", "--input", amps)
+        assert res.exit_code == 0
+
+    def test_zero_input_usage_error(self):
+        res = invoke("run", "number", "--input", "0,0,-0")
+        assert res.exit_code == 2
+        assert "--input amplitudes are all zero" in res.stderr
+
     def test_nan_tau_usage_error(self):
         assert invoke("run", "kerr", "--tau", "nan").exit_code == 2
 
@@ -342,6 +384,14 @@ class TestCircuit:
             res = invoke("circuit", str(bad))
             assert res.exit_code == 2
             assert message in res.output
+
+    def test_file_not_utf8_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.qc"
+        bad.write_bytes(b"\xff\xfe")
+        res = invoke("circuit", str(bad))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
     def test_missing_file_usage_error(self):
         assert invoke("circuit", "/nonexistent.qc").exit_code == 2

@@ -245,8 +245,3 @@ class TestMixedState:
     def test_channel_consistency(self):
         with pytest.raises(ModeMismatchError):
             MixedState(((0.5, FockState.vacuum((A,))), (0.5, FockState.vacuum((B,)))))
-
-    def test_renormalized(self):
-        st = FockState.vacuum((A,))
-        rho = MixedState(((0.25, st), (0.25, st))).renormalized()
-        assert rho.total_weight() == pytest.approx(1.0)

@@ -229,6 +229,34 @@ class TestComposeApply:
         assert t.channels == (A, B, C, D)
         assert np.allclose(t.matrix, expected, atol=1e-12)
 
+    def test_compose_many_on_the_union_in_order_of_first_appearance(self):
+        t1 = beam_splitter(BeamSplitterSpec(0.3), B, A)
+        t2 = phase_shifter(0.7, C)
+        t3 = beam_splitter(BeamSplitterSpec(0.6), D, B)
+        t = compose(t1, t2, t3)
+        assert t.channels == (B, A, C, D)
+        psi = FockState((A, B, C, D), {(1, 1, 0, 0): 0.6, (0, 0, 1, 1): 0.8})
+        once, step = apply(t, psi), apply(t3, apply(t2, apply(t1, psi)))
+        assert once.amplitudes.keys() == step.amplitudes.keys()
+        for occ, amp in step.amplitudes.items():
+            assert once.amplitudes[occ] == pytest.approx(amp, abs=1e-12)
+
+    def test_compose_of_one_is_its_padded_self(self):
+        t = beam_splitter(BeamSplitterSpec(0.3), B, A)
+        assert compose(t).channels == t.channels
+        assert np.array_equal(compose(t).matrix, t.matrix)
+
+    def test_matrix_from_nested_rows(self):
+        rows = [[0, 1j], [1j, 0]]
+        assert np.array_equal(matrix_transform((A, B), rows).matrix, np.array(rows))
+        assert matrix_transform((), []).matrix.shape == (0, 0)
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf * 1j, math.nan, 1e200])
+    def test_non_finite_or_huge_entry_rejected_without_warning(self, entry):
+        # warnings are errors here: a product of these entries would warn
+        with pytest.raises(NonUnitaryError, match="entry of magnitude"):
+            matrix_transform((A, B), [[1, 0], [0, entry]])
+
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryError):
             matrix_transform((A, B), np.array([[1, 0], [1, 1]]))

@@ -47,3 +47,8 @@ def test_runtime_imports_are_declared_dependencies():
 def test_declared_dependencies_are_imported():
     """numpy is the one runtime dependency; the CLI parses argv with the standard library."""
     assert declared_dependencies() == set(third_party_imports()) == {"numpy"}
+
+
+def test_numpy_imported_by_optics_alone():
+    """The transform matrices and their one product routine live in `optics`."""
+    assert third_party_imports()["numpy"] == ["optics.py"]

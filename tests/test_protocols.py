@@ -129,7 +129,9 @@ class TestInputSpecs:
     def test_pdc_source(self):
         with pytest.raises(ValueError):
             PdcSourceSpec(0.0)
-        assert PdcSourceSpec(0.01).p_pdc == pytest.approx(1e-4)
+        with pytest.raises(ValueError):
+            PdcSourceSpec(1.0)
+        assert PdcSourceSpec(0.01).epsilon == 0.01
 
 
 class TestEvolvedDevice:
