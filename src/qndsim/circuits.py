@@ -10,10 +10,12 @@ Grammar (one element per line, '#' starts a comment, angles in radians):
     matrix <k> <k*k complex entries row-major>   raw unitary block applied to
                                  the first k declared channels
 
-Complex literals are written `re+imi` (e.g. 0.5-0.5i, 1, -2i).
+Complex literals are written `re+imi` (e.g. 0.5-0.5i, 1, -2i, inf, nani).
 """
 
 from __future__ import annotations
+
+import re
 
 from .fock import Mode
 from .optics import (
@@ -38,10 +40,15 @@ class CircuitSyntaxError(ValueError):
         self.line_no = line_no
 
 
+# the imaginary unit: the `i` that only whitespace and `)` follow, so the
+# letters of `inf` and `infinity` stay as they are
+_UNIT = re.compile(r"i(?=[\s)]*$)")
+
+
 def parse_complex(tok: str) -> complex:
-    """Read a complex literal such as `0.5-0.5i`; raises ValueError if malformed."""
+    """Read a complex literal such as `0.5-0.5i` or `-inf`; raises ValueError if malformed."""
     try:
-        return complex(tok.strip().replace("i", "j"))
+        return complex(_UNIT.sub("j", tok.strip(), count=1))
     except ValueError:
         raise ValueError(f"bad complex literal {tok!r}") from None
 

@@ -37,26 +37,12 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
 
 
-def _fail(exc: Exception) -> None:
-    """A runtime error: `error: <message>` on stderr, exit code 1."""
-    sys.stderr.write(f"error: {exc}\n")
-    sys.exit(1)
-
-
 def _spec(make, *args):
     """Build an input spec; a value it rejects is a usage error (exit 2)."""
     try:
         return make(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _kerr_tau(omega: float, dt: float, chi3: float, volume: float) -> float:
-    """Kerr coupling shared by `run kerr-tau` and `kerr-tau`; bad values exit 1."""
-    try:
-        return protocols.kerr_tau(KerrStrengthParams(omega, dt, chi3, volume))
-    except ValueError as exc:
-        _fail(exc)
 
 
 def _parse_theta(text: str | None) -> PolarizationAngle:
@@ -168,11 +154,8 @@ def sweep(protocol, gamma_list, eta2_range, theta, transmission, out):
             )
     text = "\n".join(lines) + "\n"
     if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _fail(exc)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -207,7 +190,8 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
                    if v is None]
         if missing:
             raise UsageError(f"kerr-tau needs {', '.join(missing)}")
-        sys.stdout.write(f"tau {_fmt(_kerr_tau(omega, dt, chi3, volume))}\n")
+        params = KerrStrengthParams(omega, dt, chi3, volume)
+        sys.stdout.write(f"tau {_fmt(protocols.kerr_tau(params))}\n")
         return
 
     if not 0.0 <= eta2 <= 1.0:
@@ -220,19 +204,16 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
     spec = _parse_input(input_text, gamma)
     det = DetectorModel(eta2)
     angle = _parse_theta(theta)
-    try:
-        if protocol == "number":
-            outc = protocols.number_qnd(spec, transmission, det)
-        elif protocol == "pol":
-            outc = protocols.pol_qnd(spec, angle, det)
-        elif protocol == "teleport-number":
-            outc = protocols.teleport_number_qnd(spec, src)
-        elif protocol == "teleport-pol":
-            outc = protocols.teleport_pol_qnd(spec, angle, src)
-        else:  # kerr
-            outc = protocols.kerr_qnd(spec, tau, det)
-    except ValueError as exc:
-        _fail(exc)
+    if protocol == "number":
+        outc = protocols.number_qnd(spec, transmission, det)
+    elif protocol == "pol":
+        outc = protocols.pol_qnd(spec, angle, det)
+    elif protocol == "teleport-number":
+        outc = protocols.teleport_number_qnd(spec, src)
+    elif protocol == "teleport-pol":
+        outc = protocols.teleport_pol_qnd(spec, angle, src)
+    else:  # kerr
+        outc = protocols.kerr_qnd(spec, tau, det)
 
     lines = [
         f"protocol {protocol}",
@@ -282,10 +263,7 @@ def circuit(path, amps):
     lines += [" ".join(_fmt_complex(z) for z in row) for row in transform.matrix]
     sys.stdout.write("\n".join(lines) + "\n")
     if state is not None:
-        try:
-            result = apply_transform(transform, state)
-        except ValueError as exc:
-            _fail(exc)
+        result = apply_transform(transform, state)
         lines = ["output"]
         lines += [f"|{','.join(map(str, occ))}> {_fmt_complex(a)}"
                   for occ, a in sorted(result.amplitudes.items())]
@@ -301,17 +279,14 @@ def circuit(path, amps):
 )
 def kerr_tau_cmd(omega, dt, chi3, volume):
     """Dimensionless Kerr coupling for the given material parameters."""
-    sys.stdout.write(_fmt(_kerr_tau(omega, dt, chi3, volume)) + "\n")
+    params = KerrStrengthParams(omega, dt, chi3, volume)
+    sys.stdout.write(_fmt(protocols.kerr_tau(params)) + "\n")
 
 
 @main.command("noon-bound", Param(("N",), "n", INTEGER))
 def noon_bound_cmd(n):
     """Minimum resolvable cross-phase pi/(2 N) for an N-photon noon probe."""
-    try:
-        value = protocols.noon_bound(n)
-    except ValueError as exc:
-        _fail(exc)
-    sys.stdout.write(_fmt(value) + "\n")
+    sys.stdout.write(_fmt(protocols.noon_bound(n)) + "\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

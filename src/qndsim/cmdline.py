@@ -15,7 +15,9 @@ rules are click's, and so are the messages:
   option.
 
 Exit codes: 0 success, 1 runtime error or Ctrl-C, 2 usage error.  A usage
-error writes nothing on stdout and `Error: <message>` on stderr.
+error writes nothing on stdout and `Error: <message>` on stderr.  A runtime
+error is a `ValueError`, or an `OSError` other than a broken pipe, raised by
+a command; it writes `error: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -220,8 +222,10 @@ class Program:
     """A group of subcommands, run as `program()` on `sys.argv` or
     `program.main(args=[...])` on a list.
 
-    Every run ends in SystemExit: 0 on success, 1 on a runtime error, 2 on a
-    usage error.  Output goes to whatever `sys.stdout`/`sys.stderr` are.
+    Every run ends in SystemExit: 0 on success, 2 on a usage error, and 1 on
+    a runtime error, which a command raises as `ValueError` or `OSError` and
+    `main` reports as `error: <message>`.  Output goes to whatever
+    `sys.stdout`/`sys.stderr` are.
     """
 
     def __init__(self, name: str, description: str):
@@ -313,6 +317,9 @@ class Program:
             # stream, and raises no second error.  File descriptor 1 is left
             # as it is.
             sys.stdout = io.StringIO()
+            sys.exit(1)
+        except (ValueError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
             sys.exit(1)
         sys.exit(0)
 

@@ -224,6 +224,10 @@ def compose(first: ModeTransform, *rest: ModeTransform) -> ModeTransform:
     return ModeTransform(tuple(index), total)  # the product, checked once
 
 
+def _factorials_overflow(occ: tuple[int, ...]) -> str:
+    return f"ket {occ}: its normalization sqrt(prod n!) overflows a float"
+
+
 def apply(
     t: ModeTransform, state: FockState, floor: Mapping[ChannelLike, int] | None = None
 ) -> FockState:
@@ -244,7 +248,9 @@ def apply(
 
     Cancellation residues are dropped here (see `_RESIDUE`), and a NaN or
     infinite output amplitude raises `ValueError`, so the result meets
-    `FockState`'s invariants and is built without a second check.
+    `FockState`'s invariants and is built without a second check.  So does
+    an input or output ket whose sqrt(prod n!) overflows a float: 171 or
+    more photons in one channel, or fewer spread over several.
     """
     for c in t.channels:
         if c not in state.channels:
@@ -282,7 +288,10 @@ def apply(
         if left < total:
             continue  # no ket of this photon number meets the floor
         # start from amp / sqrt(prod occ!) and multiply one linear form per photon
-        poly = {0: amp / math.sqrt(math.prod(map(factorial.__getitem__, occ)))}
+        try:
+            poly = {0: amp / math.sqrt(math.prod(map(factorial.__getitem__, occ)))}
+        except OverflowError:
+            raise ValueError(_factorials_overflow(occ)) from None
         for n, column in zip(occ, columns):
             for _ in range(n):
                 new_poly: dict[int, complex] = {}
@@ -317,7 +326,11 @@ def apply(
                 for _ in strides:
                     code, m = divmod(code, base)
                     prod *= factorial[m]
-                scale = scales[mon] = math.sqrt(prod)
+                try:
+                    scale = scales[mon] = math.sqrt(prod)
+                except OverflowError:
+                    digits = tuple(mon // s % base for s in strides)
+                    raise ValueError(_factorials_overflow(digits)) from None
             acc[mon] = get(mon, 0j) + c0 * scale
     # no code's peak exceeds the largest input |amp|^2, so a code's own peak
     # is looked up only when its amplitude falls under that cut

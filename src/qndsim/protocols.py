@@ -524,12 +524,26 @@ _EPSILON_0 = 8.8541878188e-12  # F/m, CODATA 2022
 
 def kerr_tau(p: KerrStrengthParams) -> float:
     """Dimensionless cross-phase shift per photon pair:
-    hbar omega^2 delta_t chi3 / (4 eps0 V)."""
-    return _HBAR * p.omega**2 * p.delta_t * p.chi3 / (4.0 * _EPSILON_0 * p.volume)
+    hbar omega^2 delta_t chi3 / (4 eps0 V).
+
+    Raises ValueError where the coupling overflows a float: in omega^2, by a
+    denominator 4 eps0 V that underflows to 0, or in the result.  A result
+    that underflows is returned as 0.
+    """
+    try:
+        tau = _HBAR * p.omega**2 * p.delta_t * p.chi3 / (4.0 * _EPSILON_0 * p.volume)
+    except (OverflowError, ZeroDivisionError):
+        tau = math.inf
+    if tau == math.inf:
+        raise ValueError(f"Kerr coupling overflows a float: {p}")
+    return tau
 
 
 def noon_bound(n: int) -> float:
     """Minimum resolvable cross-phase pi/(2 N) for an N-photon noon probe."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    return math.pi / (2.0 * n)
+    try:
+        return math.pi / 2.0 / n  # 2.0 * n would overflow to inf first
+    except OverflowError:
+        raise ValueError("N is too large for a float") from None

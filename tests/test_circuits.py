@@ -249,7 +249,7 @@ class TestErrors:
         ("-1e400i", "entry of magnitude inf"),
         ("nan", "entry of magnitude nan"),
         ("1e200", "entry of magnitude 1.000e+200"),  # its square overflows
-        ("inf", "bad complex literal 'inf'"),
+        ("inf", "entry of magnitude inf"),
     ])
     def test_non_finite_or_huge_matrix_entry(self, entry, message):
         """Refused before the unitarity product, which would warn (an error here)."""
@@ -261,6 +261,19 @@ class TestErrors:
         text = "mode a\n" + "matrix 1 1.0000000000004\n" * 10
         with pytest.raises(CircuitSyntaxError, match="line 11: circuit product: .*not unitary"):
             parse_circuit(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("inf", complex(math.inf, 0.0)),
+        ("-inf", complex(-math.inf, 0.0)),
+        ("Infinity", complex(math.inf, 0.0)),
+        ("infi", complex(0.0, math.inf)),
+        ("1-infinityi", complex(1.0, -math.inf)),
+        ("(0.5-0.5i)", 0.5 - 0.5j),
+        (" -2i ", -2j),
+    ])
+    def test_complex_literals(self, text, value):
+        """The imaginary unit is the last `i`, so the letters of inf stay."""
+        assert parse_complex(text) == value
 
     def test_bad_complex_literal(self):
         with pytest.raises(CircuitSyntaxError, match="complex"):

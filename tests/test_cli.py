@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qndsim import protocols
+from qndsim import cli, protocols
 from qndsim.cli import main
 from qndsim.detection import DetectorModel
 from qndsim.protocols import (
@@ -305,6 +305,13 @@ class TestRun:
         assert res.exit_code == 2
         assert f"--input amplitudes too {size} to normalize" in res.stderr
 
+    @pytest.mark.parametrize("amps", ["inf,0,0", "0,-infi,0", "0,0,infinity"])
+    def test_infinite_input_amplitude_usage_error(self, amps):
+        """`inf` reads as infinity, refused like `1e400`, not as a bad literal."""
+        res = invoke("run", "number", "--input", amps)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert "--input amplitudes too large to normalize" in res.stderr
+
     @pytest.mark.parametrize("amps", ["1e150,0,0", "0,1e-150,0"])
     def test_input_amplitudes_near_the_edges_normalized(self, amps):
         res = invoke("run", "number", "--input", amps)
@@ -363,6 +370,13 @@ class TestCircuit:
             assert sum(map(int, occ.strip("|>").split(","))) == 14
             norm += abs(complex(amp.replace("i", "j"))) ** 2
         assert norm == pytest.approx(1.0, abs=1e-9)
+
+    def test_too_many_photons_in_one_channel_exit_one(self):
+        res = invoke("circuit", _FOUR, "--amp", "0,0,0,171=1")
+        assert res.exit_code == 1
+        assert res.stdout == invoke("circuit", _FOUR).stdout  # the matrix, no output
+        assert res.stderr == (
+            "error: ket (0, 0, 0, 171): its normalization sqrt(prod n!) overflows a float\n")
 
     def test_parse_error_exit_two(self, tmp_path):
         cases = [
@@ -478,6 +492,93 @@ class TestCalculatorCommands:
         res = invoke("noon-bound", "1")
         assert float(res.output) == pytest.approx(math.pi / 2)
         assert invoke("noon-bound", "0").exit_code == 1
+
+    @pytest.mark.parametrize("command", [("kerr-tau",), ("run", "kerr-tau")],
+                             ids=["kerr-tau", "run"])
+    @pytest.mark.parametrize("params", [
+        ("1e200", "1", "1", "1"),  # omega**2 overflows
+        ("1", "1", "1", "1e-320"),  # 4 eps0 V underflows to 0
+        ("1e150", "1e300", "1", "1"),  # the quotient overflows
+    ], ids=["omega-squared", "zero-denominator", "quotient"])
+    def test_kerr_tau_overflow_exit_one(self, command, params):
+        argv = [x for pair in zip(("--omega", "--dt", "--chi3", "--volume"), params)
+                for x in pair]
+        res = invoke(*command, *argv)
+        assert (res.exit_code, res.stdout) == (1, "")
+        assert res.stderr.startswith("error: Kerr coupling overflows a float")
+
+    def test_kerr_tau_underflow_prints_zero(self):
+        res = invoke("kerr-tau", "--omega", "5e-324", "--dt", "5e-324",
+                     "--chi3", "1", "--volume", "1")
+        assert (res.exit_code, res.stdout) == (0, "0\n")
+
+    def test_noon_bound_beyond_a_float_exit_one(self):
+        res = invoke("noon-bound", "1" + "0" * 400)
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            1, "", "error: N is too large for a float\n")
+
+
+def failing(original, message, after=0):
+    """`original` for the first `after` calls, then ValueError(message)."""
+    left = after
+
+    def fn(*args):
+        nonlocal left
+        if not left:
+            raise ValueError(message)
+        left -= 1
+        return original(*args)
+    return fn
+
+
+_KERR = ("--omega", "3e15", "--dt", "3e-11", "--chi3", "2e-22", "--volume", "1e-7")
+
+
+class TestRuntimeErrors:
+    """A ValueError from the library, wherever a command meets it, exits 1 with
+    `error: <message>`; `Program` turns it into the exit code, no command does."""
+
+    @pytest.mark.parametrize("module, name, argv, stdout", [
+        # the second gamma's device fails, after the first one's rows
+        (protocols, "number_device",
+         ("sweep", "--protocol", "number", "--gamma", "0,1", "--eta2", "0.5:1:3"), ""),
+        (protocols, "pol_device",
+         ("sweep", "--protocol", "pol", "--gamma", "0,1", "--eta2", "0.5:1:3"), ""),
+        (protocols, "number_qnd", ("run", "number"), ""),
+        (protocols, "pol_qnd", ("run", "pol"), ""),
+        (protocols, "teleport_number_qnd", ("run", "teleport-number"), ""),
+        (protocols, "teleport_pol_qnd", ("run", "teleport-pol"), ""),
+        (protocols, "kerr_qnd", ("run", "kerr"), ""),
+        (protocols, "kerr_tau", ("run", "kerr-tau", *_KERR), ""),
+        (protocols, "kerr_tau", ("kerr-tau", *_KERR), ""),
+        (cli, "apply_transform", ("circuit", _FOUR, "--amp", "0,0,1,1=1"), None),
+        (protocols, "noon_bound", ("noon-bound", "2"), ""),
+    ], ids=["sweep-number", "sweep-pol", "run-number", "run-pol", "run-teleport-number",
+            "run-teleport-pol", "run-kerr", "run-kerr-tau", "kerr-tau", "circuit",
+            "noon-bound"])
+    def test_library_value_error_exits_one(self, monkeypatch, module, name, argv, stdout):
+        after = 1 if argv[0] == "sweep" else 0
+        monkeypatch.setattr(module, name, failing(getattr(module, name), "refused here", after))
+        res = invoke(*argv)
+        assert (res.exit_code, res.stderr) == (1, "error: refused here\n")
+        if stdout is None:  # the circuit's matrix is printed before it evolves
+            stdout = invoke("circuit", _FOUR).stdout
+        assert res.stdout == stdout
+
+    def test_os_error_exits_one(self, monkeypatch):
+        def unreadable(n):
+            raise PermissionError(13, "Permission denied", "table.dat")
+        monkeypatch.setattr(protocols, "noon_bound", unreadable)
+        res = invoke("noon-bound", "2")
+        assert (res.exit_code, res.stdout, res.stderr) == (
+            1, "", "error: [Errno 13] Permission denied: 'table.dat'\n")
+
+    def test_other_exceptions_are_not_runtime_errors(self, monkeypatch):
+        def broken(n):
+            raise TypeError("a bug, not a bad value")
+        monkeypatch.setattr(protocols, "noon_bound", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            invoke("noon-bound", "2")
 
 
 # (argv, the message after 'Error: '): the texts the earlier click-based CLI printed

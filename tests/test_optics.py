@@ -315,6 +315,24 @@ class TestComposeApply:
         assert abs(out.amplitude((3, 1))) < 1e-12
 
 
+    def test_input_ket_past_float_factorials_value_error(self):
+        # 171! exceeds the largest float, so sqrt(171!) is refused by name
+        t = beam_splitter(BeamSplitterSpec(0.5), A, B)
+        with pytest.raises(ValueError, match=r"ket \(171, 0\): .*overflows a float"):
+            apply(t, FockState.basis((A, B), (171, 0)))
+
+    def test_output_ket_past_float_factorials_value_error(self):
+        # |86,86> fits, but a 50:50 splitter sends it onto |172,0> and its kin
+        t = beam_splitter(BeamSplitterSpec(0.5), A, B)
+        with pytest.raises(ValueError, match=r"ket \(1[7-9]\d, \d+\): .*overflows a float"):
+            apply(t, FockState.basis((A, B), (86, 86)))
+
+    def test_one_hundred_seventy_photons_evolve(self):
+        t = beam_splitter(BeamSplitterSpec(0.5), A, B)
+        out = apply(t, FockState.basis((A, B), (170, 0)))
+        assert {sum(occ) for occ in out.amplitudes} == {170}
+
+
 class TestTwoPhotonInterference:
     """Exact expansion coefficients of the four-mode network at T=1/2."""
 

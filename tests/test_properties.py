@@ -1,6 +1,7 @@
 """Property tests of `optics.apply`, `optics.compose`, the element builders
 and `detection.condition` over generated states, transforms, parameters and
-detectors.
+detectors; of `circuits.parse_complex` over generated literals; and of the
+CLI over command lines drawn from each command's declared parameters.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases.
@@ -10,10 +11,14 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+from qndsim.circuits import parse_complex
+from qndsim.cli import main
+from qndsim.cmdline import FILE, FLOAT, INTEGER, PATH
 from qndsim.detection import DetectorModel, condition
 from qndsim.fock import Channel, FockState, Mode
 from qndsim.optics import (
@@ -28,6 +33,7 @@ from qndsim.optics import (
     polarizing_beam_splitter,
 )
 
+from test_cli import DATA, invoke, parse_csv, sweep_grid
 from test_optics import exact_items
 
 REPRODUCIBLE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -216,3 +222,163 @@ def test_hong_ou_mandel_dip():
     assert out.amplitudes.keys() == {(2, 0), (0, 2)}  # no |1,1>
     for amp in out.amplitudes.values():
         assert abs(abs(amp) ** 2 - 0.5) <= 1e-12
+
+
+LITERAL_PARTS = st.sampled_from(["0", "1", ".5", "e", "e-3", "+", "-", "i", "j", "J", "I",
+                                 "inf", "INF", "Infinity", "nan", "(", ")", " "])
+
+
+@REPRODUCIBLE
+@given(st.lists(LITERAL_PARTS, max_size=6).map("".join))
+def test_parse_complex_reads_old_literals_the_same(text):
+    """Every literal that read when every `i` became `j` reads the same, bit
+    for bit; of the rest, only spellings of infinity now read."""
+    try:
+        old = complex(text.strip().replace("i", "j"))
+    except ValueError:
+        old = None
+    try:
+        new = parse_complex(text)
+    except ValueError:
+        new = None
+    if old is not None:
+        assert repr(new) == repr(old)
+    elif new is not None:
+        assert "inf" in text.lower()
+
+
+# the values a number option is drawn from: signed zeros, subnormals, halves,
+# huge and non-finite values
+NUMBERS = ("0.5", "1", "0", "-0", "5e-324", "1e-320", "1e-200", "1e150", "1e200", "1e308",
+           "inf", "-inf", "nan")
+numbers = st.sampled_from(NUMBERS)
+CHANNELS = {str(DATA / "four_mode_interferometer.qc"): 4,
+            str(DATA / "six_channel_pol_device.qc"): 6}
+
+
+@st.composite
+def amp(draw, channels):
+    """An `--amp` ket of at most four photons, 171 in one channel, or a
+    wrong number of channels."""
+    n = draw(st.sampled_from((channels, channels, channels, channels - 1, channels + 1)))
+    occ = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda o: sum(o) <= 4)
+               | st.just([0] * (n - 1) + [171]))
+    return f"{','.join(map(str, occ))}={draw(numbers)}{draw(st.sampled_from(('', 'i')))}"
+
+
+def joined(sep, low, high, values=numbers):
+    return st.lists(values, min_size=low, max_size=high).map(sep.join)
+
+
+def text_values(dest, path):
+    """A strategy for the text of parameter `dest`; `amps` are kets on `path`."""
+    return {
+        "gamma_list": joined(",", 1, 2),
+        "eta2_range": st.builds("{}:{}:{}".format, numbers, numbers, st.integers(0, 5)),
+        "theta": joined(",", 1, 3),
+        "input_text": joined(",", 2, 4, st.builds("{}{}".format, numbers,
+                                                   st.sampled_from(("", "i")))),
+        "amps": amp(CHANNELS.get(path, 4)),
+    }[dest]
+
+
+@st.composite
+def command_line(draw, prefix, out_dir):
+    """argv that starts with `prefix`, a command and the values of its first
+    positionals, then has every other required parameter and each other
+    option or not, each value drawn by the parameter's type."""
+    name, *fixed = prefix
+    cmd = main.commands[name]
+    path = None
+    argv = list(prefix)
+    for p in cmd.params:
+        if p in cmd.positionals[:len(fixed)]:
+            continue
+        if p.is_option and not p.required and not draw(st.booleans()):
+            continue
+        if p.type is FLOAT:
+            values = numbers
+        elif p.type is INTEGER:
+            values = st.sampled_from(("1", "3", "-1", str(2**1023), "1" + "0" * 400, *NUMBERS))
+        elif p.type is PATH:
+            values = st.sampled_from(sorted(CHANNELS))
+        elif p.type is FILE:
+            values = st.sampled_from([str(out_dir / "out.csv"), str(out_dir),
+                                      str(out_dir / "missing" / "out.csv"),
+                                      str(out_dir / ("x" * 300))])
+        elif p.type.choices:
+            values = st.sampled_from(p.type.choices)
+        else:
+            values = text_values(p.dest, path)
+        for value in draw(st.lists(values, min_size=1, max_size=2 if p.multiple else 1)):
+            if p.type is PATH:
+                path = value
+            argv += [p.names[0], value] if p.is_option else [value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep-out")
+
+
+# each `run` protocol on its own, so that each meets its own options
+COMMAND_LINES = [(name, protocol) for name in ["run"]
+                 for protocol in main.commands[name].positionals[0].type.choices]
+COMMAND_LINES += [(name,) for name in sorted(main.commands) if name != "run"]
+
+
+@pytest.mark.parametrize("prefix", COMMAND_LINES, ids=" ".join)
+def test_no_command_ends_in_a_traceback(prefix, out_dir):
+    """Every command line ends in SystemExit 0, 1 or 2, and exit 1 is a
+    runtime error reported as `error: <message>`."""
+
+    @REPRODUCIBLE
+    @given(command_line(prefix, out_dir))
+    def check(argv):
+        res = invoke(*argv)
+        assert res.exit_code in (0, 1, 2)
+        if res.exit_code == 1:
+            assert res.stderr.startswith("error: ")
+
+    check()
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def sweep_case(draw):
+    """A protocol, one or two gammas, an eta2 grid of 2-6 steps and the
+    protocol's one device parameter, as the argv `sweep` and `run` share."""
+    protocol = draw(st.sampled_from(("number", "pol")))
+    gammas = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2))
+    start, stop = sorted(draw(st.lists(UNIT, min_size=2, max_size=2, unique=True)))
+    steps = draw(st.integers(2, 6))
+    if protocol == "number":
+        t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        device = ("-T", repr(t))
+    else:
+        theta = draw(st.floats(0.0, math.pi))
+        phi = draw(st.floats(0.0, 2 * math.pi))
+        device = ("--theta", f"{theta!r},{phi!r}")
+    return protocol, gammas, (start, stop, steps), device
+
+
+@REPRODUCIBLE
+@given(sweep_case())
+def test_every_sweep_row_equals_the_standalone_run(case):
+    """Each row's success probability and fidelity are the bytes `run` prints
+    for the same gamma, eta2 and device parameter."""
+    protocol, gammas, (start, stop, steps), device = case
+    res = invoke("sweep", "--protocol", protocol, "--gamma", ",".join(map(repr, gammas)),
+                 "--eta2", f"{start!r}:{stop!r}:{steps}", *device)
+    assert res.exit_code == 0
+    rows = parse_csv(res.stdout)
+    grid = sweep_grid(gammas, start, stop, steps)
+    assert len(rows) == len(grid)
+    for row, (gamma, eta2) in zip(rows, grid):
+        alone = invoke("run", protocol, "--gamma", repr(gamma), "--eta2", repr(eta2), *device)
+        report = dict(line.split(" ", 1) for line in alone.stdout.splitlines()[:3])
+        assert (row["success_prob"], row["fidelity_sim"]) == (
+            report["success_probability"], report["fidelity"])

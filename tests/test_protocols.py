@@ -545,6 +545,26 @@ class TestCalculators:
             with pytest.raises(ValueError):
                 KerrStrengthParams(1.0, 1.0, 1.0, bad)
 
+    @pytest.mark.parametrize("params", [
+        (1e200, 1.0, 1.0, 1.0),  # omega**2 raises OverflowError
+        (1.0, 1.0, 1.0, 1e-320),  # 4 eps0 V is 0
+        (1e150, 1e300, 1.0, 1.0),  # the quotient is inf
+    ], ids=["omega-squared", "zero-denominator", "quotient"])
+    def test_kerr_tau_overflow_value_error(self, params):
+        with pytest.raises(ValueError, match="Kerr coupling overflows a float"):
+            kerr_tau(KerrStrengthParams(*params))
+
+    def test_kerr_tau_underflow_is_zero(self):
+        assert kerr_tau(KerrStrengthParams(5e-324, 5e-324, 1.0, 1.0)) == 0.0
+
+    def test_noon_bound_bits(self):
+        """pi / 2 / N: the bits of pi / (2 N), without 2 N overflowing first."""
+        for n in [*range(1, 2000), 3**300, 2**1000 + 1]:
+            assert noon_bound(n) == math.pi / (2.0 * n)
+        assert noon_bound(2**1023) == math.ldexp(math.pi, -1024) > 0.0  # 2 N is inf
+        with pytest.raises(ValueError, match="N is too large for a float"):
+            noon_bound(2**1024)
+
     def test_noon_bound(self):
         assert noon_bound(1) == math.pi / 2
         assert noon_bound(2) == pytest.approx(math.pi / 4)
