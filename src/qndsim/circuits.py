@@ -40,15 +40,20 @@ class CircuitSyntaxError(ValueError):
         self.line_no = line_no
 
 
-# the imaginary unit: the `i` that only whitespace and `)` follow, so the
-# letters of `inf` and `infinity` stay as they are
+# the imaginary unit alone: the `i` that only whitespace and `)` follow
 _UNIT = re.compile(r"i(?=[\s)]*$)")
 
 
 def parse_complex(tok: str) -> complex:
     """Read a complex literal such as `0.5-0.5i` or `-inf`; raises ValueError if malformed."""
+    text = tok.strip()
     try:
-        return complex(_UNIT.sub("j", tok.strip(), count=1))
+        # every `i` as the unit: right for all but inf's spellings, and cheaper
+        return complex(text.replace("i", "j"))
+    except ValueError:
+        pass
+    try:  # the letters of `inf` and `infinity` stay
+        return complex(_UNIT.sub("j", text, count=1))
     except ValueError:
         raise ValueError(f"bad complex literal {tok!r}") from None
 
