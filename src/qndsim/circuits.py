@@ -40,10 +40,6 @@ class CircuitSyntaxError(ValueError):
         self.line_no = line_no
 
 
-# the imaginary unit alone: the `i` that only whitespace and `)` follow
-_UNIT = re.compile(r"i(?=[\s)]*$)")
-
-
 def parse_complex(tok: str) -> complex:
     """Read a complex literal such as `0.5-0.5i` or `-inf`; raises ValueError if malformed."""
     text = tok.strip()
@@ -52,8 +48,8 @@ def parse_complex(tok: str) -> complex:
         return complex(text.replace("i", "j"))
     except ValueError:
         pass
-    try:  # the letters of `inf` and `infinity` stay
-        return complex(_UNIT.sub("j", text, count=1))
+    try:  # only the `i` that just whitespace and `)` follow: inf's letters stay
+        return complex(re.sub(r"i(?=[\s)]*$)", "j", text, count=1))
     except ValueError:
         raise ValueError(f"bad complex literal {tok!r}") from None
 
