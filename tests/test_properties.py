@@ -286,7 +286,8 @@ def text_values(dest, path):
 def command_line(draw, prefix, out_dir):
     """argv that starts with `prefix`, a command and the values of its first
     positionals, then has every other required parameter and each other
-    option or not, each value drawn by the parameter's type."""
+    option in about two draws of three (so that `run kerr-tau` often has all
+    four of its own), each value drawn by the parameter's type."""
     name, *fixed = prefix
     cmd = main.commands[name]
     path = None
@@ -294,7 +295,7 @@ def command_line(draw, prefix, out_dir):
     for p in cmd.params:
         if p in cmd.positionals[:len(fixed)]:
             continue
-        if p.is_option and not p.required and not draw(st.booleans()):
+        if p.is_option and not p.required and not draw(st.sampled_from((True, True, False))):
             continue
         if p.type is FLOAT:
             values = numbers
