@@ -15,8 +15,6 @@ Complex literals are written `re+imi` (e.g. 0.5-0.5i, 1, -2i, inf, nani).
 
 from __future__ import annotations
 
-import re
-
 from .fock import Mode
 from .optics import (
     BeamSplitterSpec,
@@ -42,14 +40,11 @@ class CircuitSyntaxError(ValueError):
 
 def parse_complex(tok: str) -> complex:
     """Read a complex literal such as `0.5-0.5i` or `-inf`; raises ValueError if malformed."""
-    text = tok.strip()
     try:
-        # every `i` as the unit: right for all but inf's spellings, and cheaper
-        return complex(text.replace("i", "j"))
-    except ValueError:
-        pass
-    try:  # only the `i` that just whitespace and `)` follow: inf's letters stay
-        return complex(re.sub(r"i(?=[\s)]*$)", "j", text, count=1))
+        # every `i` becomes the unit `j`, then inf's and infinity's own letters
+        # come back: a valid literal's unit is its last letter
+        text = tok.strip().replace("i", "j")
+        return complex(text.replace("jnf", "inf").replace("jnjty", "inity"))
     except ValueError:
         raise ValueError(f"bad complex literal {tok!r}") from None
 

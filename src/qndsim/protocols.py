@@ -526,16 +526,18 @@ def kerr_tau(p: KerrStrengthParams) -> float:
     """Dimensionless cross-phase shift per photon pair:
     hbar omega^2 delta_t chi3 / (4 eps0 V).
 
-    Raises ValueError where the coupling overflows a float: in omega^2, by a
-    denominator 4 eps0 V that underflows to 0, or in the result.  A result
-    that underflows is returned as 0.
+    Evaluated left to right in floats, so the bits are those of that
+    expression.  Raises ValueError where it overflows: in omega^2, by a
+    denominator 4 eps0 V that underflows to 0, or in a later product or the
+    quotient, also where the coupling itself would fit a float.  A partial
+    product that underflows gives 0 or a subnormal.
     """
     try:
         tau = _HBAR * p.omega**2 * p.delta_t * p.chi3 / (4.0 * _EPSILON_0 * p.volume)
     except (OverflowError, ZeroDivisionError):
         tau = math.inf
     if tau == math.inf:
-        raise ValueError(f"Kerr coupling overflows a float: {p}")
+        raise ValueError(f"Kerr coupling or one of its partial products overflows a float: {p}")
     return tau
 
 

@@ -499,13 +499,15 @@ class TestCalculatorCommands:
         ("1e200", "1", "1", "1"),  # omega**2 overflows
         ("1", "1", "1", "1e-320"),  # 4 eps0 V underflows to 0
         ("1e150", "1e300", "1", "1"),  # the quotient overflows
-    ], ids=["omega-squared", "zero-denominator", "quotient"])
+        ("1e200", "1e-300", "1e-100", "1"),  # omega**2 overflows, the coupling fits
+    ], ids=["omega-squared", "zero-denominator", "quotient", "partial-product"])
     def test_kerr_tau_overflow_exit_one(self, command, params):
         argv = [x for pair in zip(("--omega", "--dt", "--chi3", "--volume"), params)
                 for x in pair]
         res = invoke(*command, *argv)
         assert (res.exit_code, res.stdout) == (1, "")
-        assert res.stderr.startswith("error: Kerr coupling overflows a float")
+        assert res.stderr.startswith(
+            "error: Kerr coupling or one of its partial products overflows a float")
 
     def test_kerr_tau_underflow_prints_zero(self):
         res = invoke("kerr-tau", "--omega", "5e-324", "--dt", "5e-324",

@@ -549,9 +549,12 @@ class TestCalculators:
         (1e200, 1.0, 1.0, 1.0),  # omega**2 raises OverflowError
         (1.0, 1.0, 1.0, 1e-320),  # 4 eps0 V is 0
         (1e150, 1e300, 1.0, 1.0),  # the quotient is inf
-    ], ids=["omega-squared", "zero-denominator", "quotient"])
+        # omega**2 overflows although the coupling is about 3e-24
+        (1e200, 1e-300, 1e-100, 1.0),
+    ], ids=["omega-squared", "zero-denominator", "quotient", "partial-product"])
     def test_kerr_tau_overflow_value_error(self, params):
-        with pytest.raises(ValueError, match="Kerr coupling overflows a float"):
+        with pytest.raises(ValueError, match="Kerr coupling or one of its partial products "
+                                             "overflows a float"):
             kerr_tau(KerrStrengthParams(*params))
 
     def test_kerr_tau_underflow_is_zero(self):
