@@ -41,10 +41,9 @@ class CircuitSyntaxError(ValueError):
 def parse_complex(tok: str) -> complex:
     """Read a complex literal such as `0.5-0.5i` or `-inf`; raises ValueError if malformed."""
     try:
-        # every `i` becomes the unit `j`, then inf's and infinity's own letters
-        # come back: a valid literal's unit is its last letter
-        text = tok.strip().replace("i", "j")
-        return complex(text.replace("jnf", "inf").replace("jnjty", "inity"))
+        # upper case keeps the letters of inf and infinity; every other `i` is the unit
+        text = tok.strip().replace("inf", "INF").replace("inity", "INITY")
+        return complex(text.replace("i", "j"))
     except ValueError:
         raise ValueError(f"bad complex literal {tok!r}") from None
 

@@ -225,7 +225,8 @@ def test_hong_ou_mandel_dip():
 
 
 LITERAL_PARTS = st.sampled_from(["0", "1", ".5", "e", "e-3", "+", "-", "i", "j", "J", "I",
-                                 "inf", "INF", "Infinity", "nan", "(", ")", " "])
+                                 "inf", "INF", "Infinity", "infinity", "nan", "nf", "jnf",
+                                 "nity", "jnjty", "(", ")", " "])
 
 
 @REPRODUCIBLE
