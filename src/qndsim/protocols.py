@@ -530,7 +530,7 @@ def kerr_tau(p: KerrStrengthParams) -> float:
     expression.  Raises ValueError where it overflows: in omega^2, by a
     denominator 4 eps0 V that underflows to 0, or in a later product or the
     quotient, also where the coupling itself would fit a float.  A partial
-    product that underflows gives 0 or a subnormal.
+    product that underflows loses precision, down to a result of 0.
     """
     try:
         tau = _HBAR * p.omega**2 * p.delta_t * p.chi3 / (4.0 * _EPSILON_0 * p.volume)
