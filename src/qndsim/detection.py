@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .fock import (
     Channel,
-    ChannelLike,
     FockState,
     MixedState,
     ModeMismatchError,
@@ -107,7 +106,7 @@ def _picker(idx: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
 
 
 def pattern_table(
-    state: FockState, detected_channels: Iterable[ChannelLike]
+    state: FockState, detected_channels: Iterable[Channel]
 ) -> PatternTable:
     """Bucket `state` by its occupations of `detected_channels`; evolves nothing.
 
@@ -168,7 +167,7 @@ def reweight(
 
 
 def condition(
-    state: FockState, readings: Mapping[ChannelLike, int], det: DetectorModel = IDEAL
+    state: FockState, readings: Mapping[Channel, int], det: DetectorModel = IDEAL
 ) -> tuple[float, MixedState]:
     """Condition a pure state on one reading per detected channel.
 

@@ -8,10 +8,11 @@ operations return new values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 NORM_TOL = 1e-12
 
@@ -60,24 +61,24 @@ class Mode:
         return (Channel(self.spatial),)
 
 
-ChannelLike = Union[Channel, Mode, str]
-
-
-def as_channels(items: Iterable[ChannelLike]) -> tuple[Channel, ...]:
-    """Flatten modes/channels/labels into a unique ordered channel tuple."""
-    out: list[Channel] = []
-    for item in items:
-        if isinstance(item, Mode):
-            out.extend(item.channels)
-        elif isinstance(item, Channel):
-            out.append(item)
-        elif isinstance(item, str):
-            out.append(Channel(item))
-        else:
-            raise TypeError(f"not a mode or channel: {item!r}")
+def as_channels(items: Iterable[Channel]) -> tuple[Channel, ...]:
+    """The one check of a channel list: `items` as a tuple of distinct
+    `Channel`s.  A mode's channels are `Mode.channels`."""
+    out = tuple(items)
+    for item in out:
+        if not isinstance(item, Channel):
+            raise TypeError(f"not a channel: {item!r}")
     if len(set(out)) != len(out):
-        raise ModeMismatchError(f"duplicate channels in {out}")
-    return tuple(out)
+        raise ModeMismatchError(f"duplicate channels in {list(out)}")
+    return out
+
+
+def amplitude_error(a: complex, occ: tuple[int, ...], mag: float) -> ValueError:
+    """The error for an amplitude `a` at `occ` whose |a|^2, `mag`, is NaN or
+    infinite: `a` is not finite, or it is and its |a|^2 overflows a float."""
+    if cmath.isfinite(a):
+        return ValueError(f"amplitude {a} at {occ}: |a|^2 overflows a float")
+    return ValueError(f"non-finite amplitude {a} at {occ}: |a|^2 = {mag}")
 
 
 class FockState:
@@ -87,7 +88,7 @@ class FockState:
 
     def __init__(
         self,
-        channels: Iterable[ChannelLike],
+        channels: Iterable[Channel],
         amplitudes: Mapping[Sequence[int], complex],
         n_max: int | None = None,
     ):
@@ -122,7 +123,7 @@ class FockState:
             if 0.0 < mag < math.inf:
                 amps[occ] = amps.get(occ, 0.0 + 0.0j) + a
             elif not mag <= 0.0:  # NaN or infinite
-                raise ValueError(f"non-finite amplitude {a} at {occ}: |a|^2 = {mag}")
+                raise amplitude_error(a, occ, mag)
         object.__setattr__(self, "channels", chans)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -144,13 +145,13 @@ class FockState:
         return self
 
     @classmethod
-    def vacuum(cls, channels: Iterable[ChannelLike]) -> "FockState":
+    def vacuum(cls, channels: Iterable[Channel]) -> "FockState":
         chans = as_channels(channels)
         return cls(chans, {(0,) * len(chans): 1.0})
 
     @classmethod
     def basis(
-        cls, channels: Iterable[ChannelLike], occupation: Sequence[int]
+        cls, channels: Iterable[Channel], occupation: Sequence[int]
     ) -> "FockState":
         return cls(channels, {tuple(occupation): 1.0})
 
@@ -198,14 +199,13 @@ def tensor(a: FockState, b: FockState) -> FockState:
     return FockState(a.channels + b.channels, amps)
 
 
-def apply_creation(state: FockState, channel: ChannelLike, power: int = 1) -> FockState:
+def apply_creation(state: FockState, channel: Channel, power: int = 1) -> FockState:
     """Apply (a_channel^dagger)^power; result is generally unnormalized."""
-    (chan,) = as_channels([channel])
-    if chan not in state.channels:
-        raise ModeMismatchError(f"channel {chan} not in state")
+    if channel not in state.channels:
+        raise ModeMismatchError(f"channel {channel} not in state")
     if power < 0:
         raise ValueError("power must be non-negative")
-    idx = state.channels.index(chan)
+    idx = state.channels.index(channel)
     amps: dict[tuple[int, ...], complex] = {}
     for occ, a in state.amplitudes.items():
         n = occ[idx]

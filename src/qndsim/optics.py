@@ -17,10 +17,10 @@ import numpy as np
 
 from .fock import (
     Channel,
-    ChannelLike,
     FockState,
     Mode,
     ModeMismatchError,
+    amplitude_error,
     as_channels,
 )
 
@@ -69,7 +69,7 @@ class ModeTransform:
 
     __slots__ = ("channels", "matrix")
 
-    def __init__(self, channels: Iterable[ChannelLike], matrix: np.ndarray):
+    def __init__(self, channels: Iterable[Channel], matrix: np.ndarray):
         chans = as_channels(channels)
         mat = np.asarray(matrix, dtype=complex)
         if not chans and not mat.size:
@@ -103,7 +103,7 @@ class ModeTransform:
     def dagger(self) -> "ModeTransform":
         return ModeTransform(self.channels, np.asarray(self.matrix).conj().T)
 
-    def embedded(self, channels: Iterable[ChannelLike]) -> "ModeTransform":
+    def embedded(self, channels: Iterable[Channel]) -> "ModeTransform":
         """Pad with identity onto a larger channel tuple.
 
         The padded matrix is unitary because this one was checked when built,
@@ -136,23 +136,24 @@ def _padded(t: ModeTransform, at: list[int], n: int) -> np.ndarray:
     return out
 
 
-def identity_transform(channels: Iterable[ChannelLike]) -> ModeTransform:
+def identity_transform(channels: Iterable[Channel]) -> ModeTransform:
     chans = as_channels(channels)
     return ModeTransform._trusted(chans, np.eye(len(chans), dtype=complex))
 
 
-def matrix_transform(channels: Iterable[ChannelLike], matrix) -> ModeTransform:
+def matrix_transform(channels: Iterable[Channel], matrix) -> ModeTransform:
     """Raw unitary block (array or nested rows) over the given channels."""
     return ModeTransform(channels, matrix)
 
 
-def _mode_channels(m: ChannelLike) -> tuple[Channel, ...]:
-    if isinstance(m, Mode):
-        return m.channels
-    return as_channels([m])
+def _mode_channels(port: Mode | Channel) -> tuple[Channel, ...]:
+    """A two-port builder's port as channels: a mode's one or two, or the channel."""
+    return port.channels if isinstance(port, Mode) else as_channels([port])
 
 
-def beam_splitter(spec: BeamSplitterSpec, in1: ChannelLike, in2: ChannelLike) -> ModeTransform:
+def beam_splitter(
+    spec: BeamSplitterSpec, in1: Mode | Channel, in2: Mode | Channel
+) -> ModeTransform:
     """Two-port beam splitter; polarized inputs get the same block per polarization.
 
     With t = sqrt(T), r = sqrt(1-T):  in1 -> t in1 + r in2,  in2 -> t in2 - r in1.
@@ -175,7 +176,7 @@ def beam_splitter(spec: BeamSplitterSpec, in1: ChannelLike, in2: ChannelLike) ->
     return ModeTransform._trusted(c1 + c2, mat)
 
 
-def phase_shifter(phi: float, mode: ChannelLike) -> ModeTransform:
+def phase_shifter(phi: float, mode: Mode | Channel) -> ModeTransform:
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     chans = _mode_channels(mode)
@@ -229,7 +230,7 @@ def _factorials_overflow(occ: tuple[int, ...]) -> str:
 
 
 def apply(
-    t: ModeTransform, state: FockState, floor: Mapping[ChannelLike, int] | None = None
+    t: ModeTransform, state: FockState, floor: Mapping[Channel, int] | None = None
 ) -> FockState:
     """Apply the transform to a state by creation-operator substitution.
 
@@ -266,10 +267,7 @@ def apply(
     # (stride, fewest photons) per channel with a positive floor
     need = []
     if floor:
-        chans = as_channels(floor)
-        if len(chans) != len(floor):
-            raise ModeMismatchError("a floor needs one channel per entry")
-        for c, k in zip(chans, floor.values()):
+        for c, k in zip(as_channels(floor), floor.values()):
             if c not in state.channels:
                 raise ModeMismatchError(f"floor channel {c} not in state")
             if k < 0:
@@ -346,21 +344,19 @@ def apply(
             mon, m = divmod(mon, base)
             digits.append(m)
         if not mag < math.inf:  # NaN or infinite
-            raise ValueError(f"non-finite amplitude {amp} at {tuple(digits)}: |a|^2 = {mag}")
+            raise amplitude_error(amp, tuple(digits), mag)
         out[tuple(digits)] = amp
     return FockState._trusted(state.channels, out)
 
 
 def kerr_gate(
-    spec: KerrGateSpec, a: ChannelLike, b: ChannelLike, state: FockState
+    spec: KerrGateSpec, a: Channel, b: Channel, state: FockState
 ) -> FockState:
     """Cross-phase gate: ket |n_a, n_b> acquires phase exp(-i tau n_a n_b)."""
-    (ca,) = as_channels([a])
-    (cb,) = as_channels([b])
-    for c in (ca, cb):
+    for c in (a, b):
         if c not in state.channels:
             raise ModeMismatchError(f"channel {c} not in state")
-    ia, ib = state.channels.index(ca), state.channels.index(cb)
+    ia, ib = state.channels.index(a), state.channels.index(b)
     amps = {}
     for occ, amp in state.amplitudes.items():
         phase = -1j * spec.tau * occ[ia] * occ[ib]

@@ -399,6 +399,24 @@ class TestCircuit:
             assert res.exit_code == 2
             assert message in res.output
 
+    @pytest.mark.parametrize("text, stderr", [
+        ("mode a\nmode b\nbs a b x=1\n", "line 3: expected T=<float>, got 'x=1'"),
+        ("mode a\nmode b\nbs a b T=x\n", "line 3: bad number in 'T=x'"),
+        ("mode\n", "line 1: usage: mode <name> [pol]"),
+        ("mode a\nps a\n", "line 2: usage: ps <m> phi=<float>"),
+        ("mode a pol\nrot a\n", "line 2: usage: rot <m> angle=<float>"),
+        ("mode a pol\nmode b pol\npbs a\n", "line 3: usage: pbs <m1> <m2>"),
+        ("mode a\nmatrix\n", "line 2: usage: matrix <k> <k*k entries>"),
+        ("mode a\nmatrix x\n", "line 2: bad size 'x'"),
+        ("mode a\nmatrix 2 1 0 0 1\n", "line 2: matrix size 2 exceeds 1 declared channels"),
+    ], ids=["bs-key", "bs-number", "mode", "ps", "rot", "pbs", "matrix", "matrix-size",
+            "matrix-too-big"])
+    def test_parse_error_line(self, tmp_path, text, stderr):
+        bad = tmp_path / "bad.qc"
+        bad.write_text(text)
+        res = invoke("circuit", str(bad))
+        assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {stderr}\n")
+
     def test_file_not_utf8_parse_error(self, tmp_path):
         bad = tmp_path / "bad.qc"
         bad.write_bytes(b"\xff\xfe")
@@ -615,6 +633,23 @@ USAGE_ERRORS = [
     (("bogus",), "No such command 'bogus'."),
     (("ru",), "No such command 'ru'. Did you mean 'run'?"),
     (("-h",), "No such option '-h'."),
+    # the commands' own checks
+    (("run", "pol", "--theta", "x"), "bad theta 'x'"),
+    (("sweep", "--protocol", "number", "--gamma", "x"), "bad gamma list 'x'"),
+    (("sweep", "--protocol", "number", "--gamma", ","), "gamma list is empty"),
+    (("sweep", "--protocol", "number", "--eta2", "a:b:c"), "bad eta2 range 'a:b:c'"),
+    (("circuit", _FOUR, "--amp", "1,0,0,0"), "bad --amp '1,0,0,0', expected 'n1,n2,...=c'"),
+    (("circuit", _FOUR, "--amp", "x,0,0,0=1"), "bad occupation in 'x,0,0,0=1'"),
+    (("circuit", str(DATA)), f"Invalid value for 'PATH': File {str(DATA)!r} is a directory."),
+    (("circuit", _FOUR, "--amp", "0,0,1,1=1e200"),
+     "amplitude (1e+200+0j) at (0, 0, 1, 1): |a|^2 overflows a float"),
+    (("circuit", _FOUR, "--amp", "0,0,1,1=1e-320"),
+     "--amp amplitudes too small to normalize: 0,0,1,1=1e-320"),
+    # |a|^2 is subnormal: the norm would lose digits, as for --input
+    (("circuit", _FOUR, "--amp", "0,0,1,1=1e-160", "--amp", "1,0,0,1=1e-170"),
+     "--amp amplitudes too small to normalize: 0,0,1,1=1e-160 1,0,0,1=1e-170"),
+    (("circuit", _FOUR, "--amp", "0,0,1,1=inf"),
+     "non-finite amplitude (inf+0j) at (0, 0, 1, 1): |a|^2 = inf"),
 ]
 
 

@@ -76,6 +76,10 @@ class TestPovmElement:
         with pytest.raises(ValueError):
             povm_element(5, IDEAL, n_max=4)
 
+    def test_negative_reading_rejected(self):
+        with pytest.raises(ValueError, match="reading must be non-negative"):
+            povm_element(-1, IDEAL, n_max=4)
+
     def test_efficiency_validation(self):
         with pytest.raises(ValueError):
             DetectorModel(1.2)
@@ -469,6 +473,11 @@ class TestFidelity:
             prob, out = condition(st, {A: 0, C: 1, D: 0}, DetectorModel(e))
             assert len(out.branches) > 1
             assert TargetOverlaps(probe).fidelity(out, prob) == fidelity(renormalized(out), probe)
+
+    def test_ensemble_on_other_channels_rejected(self):
+        rho = MixedState(((1.0, FockState.basis((B,), (1,))),))
+        with pytest.raises(ModeMismatchError, match="ensemble and target live on different"):
+            TargetOverlaps(FockState.basis((A,), (1,))).fidelity(rho)
 
     def test_wrong_total_rejected(self):
         one = FockState.basis((A,), (1,))

@@ -1,9 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from qndsim.detection import pattern_table
+from qndsim.detection import condition, pattern_table
 from qndsim.fock import (
     Channel,
     FockState,
@@ -15,6 +16,7 @@ from qndsim.fock import (
     inner_product,
     tensor,
 )
+from qndsim.optics import apply, identity_transform, matrix_transform
 
 A, B, C = Channel("a"), Channel("b"), Channel("c")
 
@@ -88,13 +90,19 @@ class TestFockState:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), 1e155])
     def test_non_finite_amplitude_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
+        # a finite amplitude is refused for its |a|^2, not as non-finite
+        message = r"\|a\|\^2 overflows a float" if cmath.isfinite(bad) else "non-finite"
+        with pytest.raises(ValueError, match=message):
             FockState((A, B), {(1, 0): bad, (0, 1): 1.0})
 
     def test_polarized_mode_exposes_pair(self):
         m = Mode("a", polarized=True)
         assert m.channels == (Channel("a", "H"), Channel("a", "V"))
         assert Mode("a").channels == (Channel("a"),)
+
+    def test_channel_polarization_is_h_v_or_none(self):
+        with pytest.raises(ValueError, match="polarization must be None, 'H' or 'V', got 'X'"):
+            Channel("a", "X")
 
     def test_mode_builds_its_channels_once(self):
         m = Mode("a", polarized=True)
@@ -160,6 +168,14 @@ class TestLadder:
     def test_creation_above_four_photons(self):
         st = apply_creation(FockState.basis((A,), (4,)), A)
         assert st.amplitudes == {(5,): pytest.approx(math.sqrt(5))}
+
+    def test_creation_on_missing_channel_rejected(self):
+        with pytest.raises(ModeMismatchError, match="channel b not in state"):
+            apply_creation(FockState.vacuum((A,)), B)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="power must be non-negative"):
+            apply_creation(FockState.vacuum((A,)), A, power=-1)
 
 
 class TestInnerProduct:
@@ -245,3 +261,38 @@ class TestMixedState:
     def test_channel_consistency(self):
         with pytest.raises(ModeMismatchError):
             MixedState(((0.5, FockState.vacuum((A,))), (0.5, FockState.vacuum((B,)))))
+
+    def test_empty_ensemble_has_no_channels(self):
+        with pytest.raises(ValueError, match="empty ensemble has no channels"):
+            MixedState(()).channels
+
+
+_ON_AB = FockState.vacuum((A, B))
+# each entry point, called with a channel list (as mapping keys where it takes
+# a mapping); a dict cannot repeat a key, so the two mappings get no repeat case
+CHANNEL_LISTS = {
+    "FockState": lambda chans: FockState(chans, {}),
+    "matrix_transform": lambda chans: matrix_transform(chans, np.eye(len(chans))),
+    "identity_transform": identity_transform,
+    "pattern_table": lambda chans: pattern_table(_ON_AB, chans),
+    "condition": lambda chans: condition(_ON_AB, dict.fromkeys(chans, 0)),
+    "apply-floor": lambda chans: apply(identity_transform((A, B)), _ON_AB,
+                                       dict.fromkeys(chans, 1)),
+}
+
+
+class TestChannelLists:
+    """A channel list is a tuple of distinct `Channel`s wherever one is taken."""
+
+    @pytest.mark.parametrize("entry", list(CHANNEL_LISTS))
+    @pytest.mark.parametrize("item", ["a", Mode("a", polarized=True)], ids=["str", "mode"])
+    def test_only_channels(self, entry, item):
+        with pytest.raises(TypeError, match="not a channel"):
+            CHANNEL_LISTS[entry]((A, item))
+
+    @pytest.mark.parametrize("entry", ["FockState", "matrix_transform", "identity_transform",
+                                       "pattern_table"])
+    def test_no_repeats(self, entry):
+        with pytest.raises(ModeMismatchError, match=r"duplicate channels in \[Channel\('a'\), "
+                                                    r"Channel\('b'\), Channel\('a'\)\]"):
+            CHANNEL_LISTS[entry]((A, B, A))

@@ -283,6 +283,15 @@ class TestPolFidelityApprox:
         with pytest.raises(ValueError, match="overflows"):
             pol_fidelity_approx(gamma, math.sqrt(eta2))
 
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma must be non-negative"):
+            pol_fidelity_approx(-0.1, 0.9)
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.1, math.nan])
+    def test_eta_out_of_range_rejected(self, eta):
+        with pytest.raises(ValueError, match=r"eta out of range \[0, 1\]"):
+            pol_fidelity_approx(0.0, eta)
+
 
 class TestPdcState:
     def test_small_epsilon_is_nearly_vacuum(self):
@@ -303,6 +312,10 @@ class TestPdcState:
         p1, p2 = Mode("p1", polarized=True), Mode("p2", polarized=True)
         st = pdc_state(PdcSourceSpec(0.3), (p1, p2))
         assert st.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_unpolarized_modes_rejected(self):
+        with pytest.raises(ValueError, match="pair source needs polarized modes"):
+            pdc_state(PdcSourceSpec(0.1), (Mode("p1", polarized=True), Mode("p2")))
 
 
 class TestTeleportPol:

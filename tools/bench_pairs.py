@@ -10,9 +10,10 @@ run's end-to-end metrics, failed-op count and digest, each side's median and
 quartiles per metric, how many pairs the change won per metric (ties count
 for neither side), and whether the metric is resolved: the parent's spread
 (interquartile range over median) is within the metric's bound, or every
-change run beats every parent run.  It also records both commits and their `src/` line counts,
-the CPU model, and numpy's BLAS build and run-time kernel: the circuit-evolve
-digest depends on the kernel.  Runs last `run_seconds` from the change's
+change run beats every parent run.  It also records both commits, their `src/` line
+counts (`src_lines` in total, `src_module_lines` per file under `src/`), the CPU
+model, and numpy's BLAS build and run-time kernel: the circuit-evolve digest
+depends on the kernel.  Runs last `run_seconds` from the change's
 BENCHMARK.json, and each invocation writes a fresh file, so every pair in it
 comes from one host and one run length.  Standard library only; numpy is
 queried in a child interpreter.
@@ -58,8 +59,11 @@ def commit(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def src_lines(checkout: Path) -> int:
-    return sum(len(f.read_text().splitlines()) for f in (checkout / "src").rglob("*.py"))
+def module_lines(checkout: Path) -> dict[str, int]:
+    """Lines of each `*.py` file under `src/`, keyed by its path there."""
+    src = checkout / "src"
+    return {f.relative_to(src).as_posix(): len(f.read_text().splitlines())
+            for f in sorted(src.rglob("*.py"))}
 
 
 def cpu_model() -> str | None:
@@ -143,6 +147,7 @@ def main() -> int:
     seconds = bench["run_seconds"]
     probe = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
                            text=True, check=True)
+    lines = {"parent": module_lines(parent), "change": module_lines(change)}
     report = {
         "cpu_model": cpu_model(),
         "python": sys.version.split()[0],
@@ -151,7 +156,8 @@ def main() -> int:
         "command": "perfbench/run.py --trace 0",
         "parent_commit": commit(parent),
         "change_commit": commit(change),
-        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
+        "src_lines": {side: sum(per_file.values()) for side, per_file in lines.items()},
+        "src_module_lines": lines,
         "workloads": {},
     }
     for workload in args.workload:
