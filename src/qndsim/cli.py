@@ -258,7 +258,7 @@ def circuit(path, amps):
                 raise UsageError(f"bad occupation in {item!r}") from None
             state_amps[occ] = state_amps.get(occ, 0j) + _spec(parse_complex, amp_text)
         state = _spec(FockState, transform.channels, state_amps)
-        # as for --input: a norm below the normal floats has lost its precision
+        # as for --input: a sum of squares below the normal floats has lost the norm's precision
         if any(state_amps.values()) and state.norm_squared() < sys.float_info.min:
             raise UsageError(f"--amp amplitudes too small to normalize: {' '.join(amps)}")
         state = _spec(state.normalized)
