@@ -258,9 +258,12 @@ def circuit(path, amps):
                 raise UsageError(f"bad occupation in {item!r}") from None
             state_amps[occ] = state_amps.get(occ, 0j) + _spec(parse_complex, amp_text)
         state = _spec(FockState, transform.channels, state_amps)
-        # as for --input: a sum of squares below the normal floats has lost the norm's precision
-        if any(state_amps.values()) and state.norm_squared() < sys.float_info.min:
-            raise UsageError(f"--amp amplitudes too small to normalize: {' '.join(amps)}")
+        # as for --input: a sum of squares below the normal floats has lost the
+        # norm's precision, and one that overflows has none
+        total = state.norm_squared()
+        if any(state_amps.values()) and not sys.float_info.min <= total < math.inf:
+            size = "large" if total == math.inf else "small"
+            raise UsageError(f"--amp amplitudes too {size} to normalize: {' '.join(amps)}")
         state = _spec(state.normalized)
     lines = ["channels " + " ".join(str(c) for c in transform.channels)]
     lines += [" ".join(_fmt_complex(z) for z in row) for row in transform.matrix]

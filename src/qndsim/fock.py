@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -158,7 +159,11 @@ class FockState:
     # -- basic queries -----------------------------------------------------
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(a) ** 2 for a in self.amplitudes.values())
+        """Sum of |a|^2; inf where the sum overflows a float."""
+        try:
+            return math.fsum(abs(a) ** 2 for a in self.amplitudes.values())
+        except OverflowError:
+            return math.inf
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -181,10 +186,15 @@ class FockState:
         )
 
     def normalized(self) -> "FockState":
-        n = self.norm()
-        if n == 0.0:
+        n2 = self.norm_squared()
+        if n2 == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return self.scaled(1.0 / n)
+        if not sys.float_info.min <= n2 < math.inf:
+            # a subnormal square has lost digits and an infinite one has none:
+            # bring the largest amplitude into [1/2, 1) by an exact power of two
+            top = max(abs(a) for a in self.amplitudes.values())
+            return self.scaled(math.ldexp(1.0, -math.frexp(top)[1])).normalized()
+        return self.scaled(1.0 / math.sqrt(n2))
 
 
 def tensor(a: FockState, b: FockState) -> FockState:

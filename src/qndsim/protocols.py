@@ -19,17 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
-from .detection import (
-    IDEAL,
-    DetectorModel,
-    PatternTable,
-    TargetOverlaps,
-    condition,
-    pattern_table,
-    reweight,
-)
+from .detection import IDEAL, DetectorModel, TargetOverlaps, pattern_table, reweight
 from .fock import Channel, FockState, MixedState, Mode
 from .optics import (
     BeamSplitterSpec,
@@ -175,23 +168,31 @@ def _outcome(
     return ProtocolOutcome(prob, out, fid, overlaps.target)
 
 
-@dataclass(frozen=True)
 class EvolvedDevice:
-    """A heralding device after evolution, before detection.
+    """A heralding device after evolution, before detection: `transform`
+    evolves `state`, and `success` gives each detected channel's success
+    reading.
 
-    Linear-optical evolution does not depend on the detector efficiency, so the
-    evolved state is tabulated once by heralding pattern and `outcome` only
-    applies a detector model: a sweep over efficiencies evolves once, and each
-    branch's overlap with the target is computed once.
+    A reading of k photons needs k photons, so the readings are `apply`'s
+    floor and only the kets that can herald are expanded.  Linear-optical
+    evolution does not depend on the detector efficiency, so the evolved state
+    is tabulated once by heralding pattern and `outcome` only applies a
+    detector model: a sweep over efficiencies evolves once, and each branch's
+    overlap with `target` is computed once.
     """
 
-    table: PatternTable
-    readings: tuple[int, ...]  # success signature, in table.detected order
-    target: FockState
-    _overlaps: TargetOverlaps = field(init=False, repr=False, compare=False)
+    __slots__ = ("table", "readings", "_overlaps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_overlaps", TargetOverlaps(self.target))
+    def __init__(
+        self,
+        transform: ModeTransform,
+        state: FockState,
+        success: Mapping[Channel, int],
+        target: FockState,
+    ):
+        self.table = pattern_table(apply(transform, state, success), success)
+        self.readings = tuple(success.values())  # in table.detected order
+        self._overlaps = TargetOverlaps(target)
 
     def outcome(self, det: DetectorModel = IDEAL) -> ProtocolOutcome:
         prob, out = reweight(self.table, self.readings, det)
@@ -240,12 +241,8 @@ def number_device(input: NumberInputSpec, transmission: float = 0.5) -> EvolvedD
         (1, 0, 1, 1): input.c1,
         (2, 0, 1, 1): input.c2,
     }
-    state = FockState(channels, amps)
-    # a reading of k photons needs k photons: expand only kets that can herald
-    state = apply(number_device_transform(transmission), state, _NUMBER_SUCCESS)
-    target = FockState.basis((_B,), (1,))
-    table = pattern_table(state, _NUMBER_SUCCESS)
-    return EvolvedDevice(table, tuple(_NUMBER_SUCCESS.values()), target)
+    return EvolvedDevice(number_device_transform(transmission), FockState(channels, amps),
+                         _NUMBER_SUCCESS, FockState.basis((_B,), (1,)))
 
 
 def number_qnd(
@@ -322,12 +319,8 @@ def pol_device(input: NumberInputSpec, theta: PolarizationAngle) -> EvolvedDevic
     amps = {
         (ka_h, ka_v, 1, 1, 1, 1): amp for (ka_h, ka_v), amp in sig_amps.items()
     }
-    state = FockState(_POL_CHANNELS, amps)
-    # a reading of k photons needs k photons: expand only kets that can herald
-    state = apply(_POL_TRANSFORM, state, _POL_SUCCESS)
     target = FockState((_P_AH, _P_AV), {(1, 0): theta.alpha, (0, 1): theta.beta})
-    table = pattern_table(state, _POL_SUCCESS)
-    return EvolvedDevice(table, tuple(_POL_SUCCESS.values()), target)
+    return EvolvedDevice(_POL_TRANSFORM, FockState(_POL_CHANNELS, amps), _POL_SUCCESS, target)
 
 
 def pol_qnd(
@@ -506,11 +499,8 @@ def kerr_qnd(
     state = FockState(_KERR_CHANNELS, amps)
     state = apply(_KERR_BS, state)
     state = kerr_gate(KerrGateSpec(tau), _K_W, _K_S, state)
-    # a reading of k photons needs k photons: expand only kets that can herald
-    state = apply(_KERR_BS, state, _KERR_SUCCESS)
-    prob, out = condition(state, _KERR_SUCCESS, det)
     target = FockState.basis((_K_S,), (1,))
-    return _outcome(prob, out, TargetOverlaps(target))
+    return EvolvedDevice(_KERR_BS, state, _KERR_SUCCESS, target).outcome(det)
 
 
 # ---------------------------------------------------------------------------

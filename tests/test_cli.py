@@ -633,6 +633,7 @@ USAGE_ERRORS = [
     (("bogus",), "No such command 'bogus'."),
     (("ru",), "No such command 'ru'. Did you mean 'run'?"),
     (("-h",), "No such option '-h'."),
+    (("--", "--help"), "No such command '--help'."),
     # the commands' own checks
     (("run", "pol", "--theta", "x"), "bad theta 'x'"),
     (("sweep", "--protocol", "number", "--gamma", "x"), "bad gamma list 'x'"),
@@ -648,6 +649,9 @@ USAGE_ERRORS = [
     # |a|^2 is subnormal: the norm would lose digits, as for --input
     (("circuit", _FOUR, "--amp", "0,0,1,1=1e-160", "--amp", "1,0,0,1=1e-170"),
      "--amp amplitudes too small to normalize: 0,0,1,1=1e-160 1,0,0,1=1e-170"),
+    # each |a|^2 is finite but their sum is not, as for --input
+    (("circuit", _FOUR, "--amp", "0,0,1,1=1e154", "--amp", "0,0,2,0=1e154"),
+     "--amp amplitudes too large to normalize: 0,0,1,1=1e154 0,0,2,0=1e154"),
     (("circuit", _FOUR, "--amp", "0,0,1,1=inf"),
      "non-finite amplitude (inf+0j) at (0, 0, 1, 1): |a|^2 = inf"),
 ]
@@ -672,6 +676,7 @@ class TestParser:
          ("run", "number", "--input", "-0.5,0.5,0.7071")),
         (("run", "--eta2", "0.9", "number"), ("run", "number", "--eta2", "0.9")),
         (("run", "--", "number"), ("run", "number")),
+        (("--", "noon-bound", "1"), ("noon-bound", "1")),
         (("run", "number", "-T", "0.2", "--eta2", "0.5", "-T", "0.3", "--eta2=0.9"),
          ("run", "number", "-T", "0.3", "--eta2", "0.9")),
         # an overridden value is never converted
@@ -681,7 +686,7 @@ class TestParser:
         (("sweep", "--protocol", "number", "--eta2", "0.5:1:2", "-T", "0.1", "-T0.3"),
          ("sweep", "--protocol", "number", "--eta2", "0.5:1:2", "--transmission", "0.3")),
     ], ids=["eq", "glued-short", "eq-dash-value", "interleaved", "double-dash",
-            "last-wins", "last-wins-unconverted", "sweep-eq", "sweep-last-wins"])
+            "group-double-dash", "last-wins", "last-wins-unconverted", "sweep-eq", "sweep-last-wins"])
     def test_equivalent_spellings(self, argv, same_as):
         res, expected = invoke(*argv), invoke(*same_as)
         assert (res.exit_code, res.stderr) == (0, "")

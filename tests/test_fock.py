@@ -117,6 +117,30 @@ class TestFockState:
         assert st.norm_squared() == pytest.approx(1.0, abs=1e-12)
         assert st.amplitude((0,)) == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("amps", [{(1, 0): 1e-160}, {(1, 0): 1e-160j, (0, 1): -3e-161},
+                                      {(1, 0): 2e-162, (0, 1): 1e-155}],
+                             ids=["one-ket", "two-kets", "wide-range"])
+    def test_subnormal_norm_squared_normalizes_to_one(self, amps):
+        st = FockState((A, B), amps)
+        assert 0.0 < st.norm_squared() < 2.2250738585072014e-308
+        assert st.normalized().norm_squared() == pytest.approx(1.0, abs=1e-15)
+        if len(amps) == 1:
+            assert st.normalized().amplitudes == {(1, 0): 1.0}
+
+    def test_overflowing_norm_squared_is_infinite(self):
+        st = FockState((A, B), {(1, 0): 1e154, (0, 1): 1e154})
+        assert (st.norm_squared(), st.norm()) == (math.inf, math.inf)
+        assert st.normalized().amplitudes == {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)}
+
+    def test_normal_norm_squared_keeps_its_arithmetic(self):
+        rng = np.random.default_rng(29)
+        for scale in (1e-150, 1e-100, 1.0, 1e100, 1e150):
+            c = (rng.normal(size=3) + 1j * rng.normal(size=3)) * scale
+            st = FockState((A,), dict(zip([(0,), (1,), (2,)], c.tolist())))
+            n = math.sqrt(math.fsum(abs(a) ** 2 for a in st.amplitudes.values()))
+            assert st.normalized().amplitudes == {occ: (1.0 / n) * a
+                                                  for occ, a in st.amplitudes.items()}
+
 
 class TestTensor:
     def test_basis_product(self):

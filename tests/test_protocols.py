@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qndsim.circuits import parse_circuit
 from qndsim.detection import (
     IDEAL,
     DetectorModel,
@@ -19,6 +21,7 @@ from qndsim.optics import (
     apply,
     beam_splitter,
     compose,
+    identity_transform,
     kerr_gate,
 )
 from qndsim.protocols import (
@@ -41,6 +44,7 @@ from qndsim.protocols import (
 from qndsim.fock import Mode
 from qndsim import protocols
 
+DATA = Path(__file__).parent / "data"
 PURE_ONE = NumberInputSpec(0.0, 1.0, 0.0)
 PURE_TWO = NumberInputSpec(0.0, 0.0, 1.0)
 
@@ -137,10 +141,27 @@ class TestInputSpecs:
 class TestEvolvedDevice:
     def test_nan_probability_raises(self):
         a, b = Channel("a"), Channel("b")
-        table = PatternTable((a,), (b,), {(1,): (math.nan, {(1,): 1.0})})
-        device = protocols.EvolvedDevice(table, (1,), FockState.basis((b,), (1,)))
+        device = protocols.EvolvedDevice(identity_transform((a, b)), FockState.basis((a, b), (1, 1)),
+                                         {a: 1}, FockState.basis((b,), (1,)))
+        # no finite input reaches a NaN mass, so the table is replaced by hand
+        device.table = PatternTable((a,), (b,), {(1,): (math.nan, {(1,): 1.0})})
         with pytest.raises(ValueError, match="NaN"):
             device.outcome()
+
+    @pytest.mark.parametrize("resolves", [True, False], ids=["counting", "threshold"])
+    def test_circuit_file_device_equals_number_qnd_bit_for_bit(self, resolves):
+        transform = parse_circuit((DATA / "four_mode_interferometer.qc").read_text())
+        a, b, c, d = transform.channels
+        for gamma in (0.0, 0.1, 1.0, 10.0):
+            spec = NumberInputSpec.from_gamma(gamma)
+            state = FockState(transform.channels, {
+                (0, 0, 1, 1): spec.c0, (1, 0, 1, 1): spec.c1, (2, 0, 1, 1): spec.c2})
+            device = protocols.EvolvedDevice(transform, state, {a: 0, c: 1, d: 1},
+                                             FockState.basis((b,), (1,)))
+            for eta2 in (0.0, 0.5, 0.88, 1.0):
+                det = DetectorModel(eta2, resolves)
+                assert exact_protocol_outcome(device.outcome(det)) == (
+                    exact_protocol_outcome(number_qnd(spec, 0.5, det))), (gamma, eta2)
 
 
 def splitter_chain(transmission):

@@ -10,12 +10,16 @@ run's end-to-end metrics, failed-op count and digest, each side's median and
 quartiles per metric, how many pairs the change won per metric (ties count
 for neither side), and whether the metric is resolved: the parent's spread
 (interquartile range over median) is within the metric's bound, or every
-change run beats every parent run.  It also records both commits, their `src/` line
-counts (`src_lines` in total, `src_module_lines` per file under `src/`), the CPU
-model, and numpy's BLAS build and run-time kernel: the circuit-evolve digest
-depends on the kernel.  Runs last `run_seconds` from the change's
-BENCHMARK.json, and each invocation writes a fresh file, so every pair in it
-comes from one host and one run length.  Standard library only; numpy is
+change run beats every parent run.  Each workload also gets one
+`perfbench/run.py --trace 1` run per checkout on the first seed: traced runs
+replay fixed decks, so their counts repeat for a seed, and the output records
+both sides' per-layer values and the count metrics whose values differ.  It
+also records both commits, their `src/` line counts (`src_lines` in total,
+`src_module_lines` per file under `src/`), the CPU model, and numpy's BLAS
+build and run-time kernel: the circuit-evolve digest depends on the kernel.
+Runs last `run_seconds` from the change's BENCHMARK.json, and each invocation
+writes a fresh file, so every pair in it comes from one host and one run
+length.  Standard library only; numpy is
 queried in a child interpreter.
 """
 
@@ -77,23 +81,44 @@ def cpu_model() -> str | None:
     return None
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced run: its end-to-end metrics, op counts and digest."""
+def perfbench(checkout: Path, workload: str, seed: int, seconds: int,
+              trace: int) -> tuple[dict, dict]:
+    """One `perfbench/run.py` run: its summary line and the results file it saved."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           timeout=seconds + 300)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    saved = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
-    digest = json.loads(saved.read_text()).get("digest")
+    saved = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json"
+    return summary, json.loads(saved.read_text())
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced run: its end-to-end metrics, op counts and digest."""
+    summary, saved = perfbench(checkout, workload, seed, seconds, 0)
     return {
         "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
         "attempted": summary["attempted"],
         "failed": summary["failed"],
-        "digest": digest,
+        "digest": saved.get("digest"),
+    }
+
+
+def traced_runs(parent: Path, change: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One traced run per side: both sides' per-layer values, and the names of
+    the count metrics whose values differ."""
+    metrics = {side: perfbench(checkout, workload, seed, seconds, 1)[0]["metrics"]
+               for side, checkout in (("parent", parent), ("change", change))}
+    values = {side: {k: v["value"] for k, v in m.items()} for side, m in metrics.items()}
+    counts = {k for m in metrics.values() for k, v in m.items() if v["unit"] == "count"}
+    return {
+        "seed": seed,
+        **values,
+        "counts_differ": sorted(k for k in counts
+                                if values["parent"].get(k) != values["change"].get(k)),
     }
 
 
@@ -172,10 +197,14 @@ def main() -> int:
                       f"ops_per_s {pair[side]['metrics']['ops_per_s']:.1f}, "
                       f"failed {pair[side]['failed']}", file=sys.stderr, flush=True)
             pairs.append(pair)
+        traced = traced_runs(parent, change, workload, args.seeds[0], seconds)
+        print(f"{workload} seed {args.seeds[0]} traced: counts differ "
+              f"{traced['counts_differ'] or 'nowhere'}", file=sys.stderr, flush=True)
         report["workloads"][workload] = {
             "seeds": args.seeds,
             "pairs": pairs,
             "summary": summarize(pairs, bench["end_to_end"]),
+            "traced": traced,
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
