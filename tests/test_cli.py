@@ -686,7 +686,8 @@ class TestParser:
         (("sweep", "--protocol", "number", "--eta2", "0.5:1:2", "-T", "0.1", "-T0.3"),
          ("sweep", "--protocol", "number", "--eta2", "0.5:1:2", "--transmission", "0.3")),
     ], ids=["eq", "glued-short", "eq-dash-value", "interleaved", "double-dash",
-            "group-double-dash", "last-wins", "last-wins-unconverted", "sweep-eq", "sweep-last-wins"])
+            "group-double-dash", "last-wins", "last-wins-unconverted", "sweep-eq",
+            "sweep-last-wins"])
     def test_equivalent_spellings(self, argv, same_as):
         res, expected = invoke(*argv), invoke(*same_as)
         assert (res.exit_code, res.stderr) == (0, "")

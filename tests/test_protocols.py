@@ -141,8 +141,9 @@ class TestInputSpecs:
 class TestEvolvedDevice:
     def test_nan_probability_raises(self):
         a, b = Channel("a"), Channel("b")
-        device = protocols.EvolvedDevice(identity_transform((a, b)), FockState.basis((a, b), (1, 1)),
-                                         {a: 1}, FockState.basis((b,), (1,)))
+        device = protocols.EvolvedDevice(
+            identity_transform((a, b)), FockState.basis((a, b), (1, 1)), {a: 1},
+            FockState.basis((b,), (1,)))
         # no finite input reaches a NaN mass, so the table is replaced by hand
         device.table = PatternTable((a,), (b,), {(1,): (math.nan, {(1,): 1.0})})
         with pytest.raises(ValueError, match="NaN"):
