@@ -20,6 +20,7 @@ from .fock import (
     ModeMismatchError,
     as_channels,
     inner_product,
+    nonnegative_fsum,
 )
 
 
@@ -127,7 +128,7 @@ def pattern_table(
     for occ, a in state.amplitudes.items():
         groups.setdefault(pattern_of(occ), {})[kept_of(occ)] = a
     patterns = {
-        pattern: (math.fsum(abs(a) ** 2 for a in amps.values()), amps)
+        pattern: (nonnegative_fsum(abs(a) ** 2 for a in amps.values()), amps)
         for pattern, amps in groups.items()
     }
     return PatternTable(detected, kept, patterns)
@@ -163,7 +164,7 @@ def reweight(
         w = povm_factor * mass
         weights.append(w)
         branches.append((w, table.branch(pattern)))
-    return math.fsum(weights), MixedState(tuple(branches))
+    return nonnegative_fsum(weights), MixedState(tuple(branches))
 
 
 def condition(
@@ -193,38 +194,33 @@ class TargetOverlaps:
         self.target = target
         self._overlaps: dict[FockState, float] = {}  # keyed by identity
 
-    def fidelity(self, rho: MixedState, total: float = 1.0) -> float:
-        """Tr[rho |target><target|] / total, where `total` is rho's weight.
-
-        The default suits a unit-weight ensemble.  A caller that has already
-        summed the weights passes that sum, and each weight is divided by it
-        here; the divided weights must still sum to 1.
-        """
+    def fidelity(self, rho: MixedState) -> float:
+        """Tr[rho |target><target|] / Tr[rho]: the fidelity of `rho`
+        renormalized by its own weight.  Raises ValueError where that weight
+        is not positive and finite."""
+        total = rho.total_weight()
+        if total == math.inf:
+            raise ValueError("fidelity undefined: the ensemble's weight overflows a float")
         if not total > 0.0:  # also rejects NaN
             raise ValueError("fidelity of a zero-weight ensemble is undefined")
-        weights = [w / total for w, _ in rho.branches]
-        norm = math.fsum(weights)
-        if norm <= 0.0:
-            raise ValueError("fidelity of a zero-weight ensemble is undefined")
-        if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
-            raise ValueError(
-                f"ensemble weight {norm} != 1; renormalize before computing fidelity"
-            )
         target = self.target
         if rho.channels != target.channels:
             raise ModeMismatchError("ensemble and target live on different channels")
         overlaps = self._overlaps
         terms = []
-        for w, (_, st) in zip(weights, rho.branches):
+        for w, st in rho.branches:
             overlap = overlaps.get(st)
             if overlap is None:
                 overlap = overlaps[st] = abs(inner_product(target, st)) ** 2
-            terms.append(w * overlap)
+            terms.append(w / total * overlap)
         return math.fsum(terms)
 
 
 def fidelity(rho: MixedState, target: FockState) -> float:
     """Tr[rho |target><target|] for a unit-weight ensemble."""
+    norm = rho.total_weight()
+    if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
+        raise ValueError(f"ensemble weight {norm} != 1; renormalize before computing fidelity")
     return TargetOverlaps(target).fidelity(rho)
 
 

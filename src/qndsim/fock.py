@@ -74,6 +74,14 @@ def as_channels(items: Iterable[Channel]) -> tuple[Channel, ...]:
     return out
 
 
+def nonnegative_fsum(values: Iterable[float]) -> float:
+    """`math.fsum` of non-negative values; inf where the sum overflows a float."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a partial sum passed the largest float
+        return math.inf
+
+
 def amplitude_error(a: complex, occ: tuple[int, ...], mag: float) -> ValueError:
     """The error for an amplitude `a` at `occ` whose |a|^2, `mag`, is NaN or
     infinite: `a` is not finite, or it is and its |a|^2 overflows a float."""
@@ -160,10 +168,7 @@ class FockState:
 
     def norm_squared(self) -> float:
         """Sum of |a|^2; inf where the sum overflows a float."""
-        try:
-            return math.fsum(abs(a) ** 2 for a in self.amplitudes.values())
-        except OverflowError:
-            return math.inf
+        return nonnegative_fsum(abs(a) ** 2 for a in self.amplitudes.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -269,5 +274,6 @@ class MixedState:
         return self.branches[0][1].channels
 
     def total_weight(self) -> float:
-        return math.fsum(w for w, _ in self.branches)
+        """Sum of the weights; inf where the sum overflows a float."""
+        return nonnegative_fsum(w for w, _ in self.branches)
 

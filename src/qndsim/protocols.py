@@ -158,13 +158,10 @@ class ProtocolOutcome:
     target: FockState
 
 
-def _outcome(
-    prob: float, out: MixedState, overlaps: TargetOverlaps, total: float | None = None
-) -> ProtocolOutcome:
-    """`total` is the weight of `out`; by default `prob`, the fsum of its weights."""
+def _outcome(prob: float, out: MixedState, overlaps: TargetOverlaps) -> ProtocolOutcome:
     if math.isnan(prob):
         raise ValueError("success probability is NaN")
-    fid = overlaps.fidelity(out, prob if total is None else total) if prob > 0.0 else 0.0
+    fid = overlaps.fidelity(out) if prob > 0.0 else 0.0
     return ProtocolOutcome(prob, out, fid, overlaps.target)
 
 
@@ -436,7 +433,7 @@ def _teleport(
     out = MixedState(tuple(branches))
     target = FockState(_TP2.channels, target_amps)
     # `total` adds the masses in turn; the fidelity renormalizes by their fsum
-    return _outcome(total, out, TargetOverlaps(target), out.total_weight())
+    return _outcome(total, out, TargetOverlaps(target))
 
 
 def teleport_number_qnd(input: NumberInputSpec, src: PdcSourceSpec) -> ProtocolOutcome:

@@ -23,6 +23,7 @@ from qndsim.fock import (
     FockState,
     MixedState,
     ModeMismatchError,
+    inner_product,
     tensor,
 )
 from qndsim.optics import BeamSplitterSpec, apply, beam_splitter
@@ -160,6 +161,14 @@ class TestCondition:
             psi = random_state(rng, (A, B, C), 2, 3)
             prob, out = condition(psi, {A: 1, B: 0}, det)
             assert out.total_weight() == pytest.approx(prob, abs=1e-12)
+
+    def test_overflowing_probability_is_infinite(self):
+        st = FockState((A, B), {(0, 1): 1e154, (0, 2): 1e154})
+        prob, out = condition(st, {A: 0})
+        assert prob == math.inf
+        ((w, branch),) = out.branches
+        assert w == math.inf
+        assert branch.amplitudes == {(1,): 1 / math.sqrt(2), (2,): 1 / math.sqrt(2)}
 
     def test_exhaustive_readings_sum_to_one(self):
         rng = np.random.default_rng(6)
@@ -466,27 +475,28 @@ class TestFidelity:
         with pytest.raises(ValueError, match="ensemble weight nan"):
             fidelity(out, FockState.basis((B,), (1,)))
 
-    def test_given_total_renormalizes_bit_for_bit(self):
+    def test_renormalizes_by_its_own_weight_bit_for_bit(self):
         st = heralded_state(c=(0.3, 0.8, math.sqrt(1 - 0.09 - 0.64)))
         probe = FockState((B,), {(0,): 0.6, (1,): 0.8j})
         for e in (0.35, 0.88):
             prob, out = condition(st, {A: 0, C: 1, D: 0}, DetectorModel(e))
             assert len(out.branches) > 1
-            assert TargetOverlaps(probe).fidelity(out, prob) == fidelity(renormalized(out), probe)
+            expected = math.fsum((w / prob) * abs(inner_product(probe, branch)) ** 2
+                                 for w, branch in out.branches)
+            assert TargetOverlaps(probe).fidelity(out).hex() == expected.hex()
 
     def test_ensemble_on_other_channels_rejected(self):
         rho = MixedState(((1.0, FockState.basis((B,), (1,))),))
         with pytest.raises(ModeMismatchError, match="ensemble and target live on different"):
             TargetOverlaps(FockState.basis((A,), (1,))).fidelity(rho)
 
-    def test_wrong_total_rejected(self):
+    def test_unweighable_ensemble_rejected(self):
         one = FockState.basis((A,), (1,))
-        rho = MixedState(((0.5, one),))
-        with pytest.raises(ValueError, match="ensemble weight"):
-            TargetOverlaps(one).fidelity(rho, 0.4)
-        for total in (0.0, -0.5, math.nan):
-            with pytest.raises(ValueError, match="zero-weight"):
-                TargetOverlaps(one).fidelity(rho, total)
+        for weight, message in ((0.0, "zero-weight"), (-1e-13, "zero-weight"),
+                                (math.nan, "zero-weight"), (1e308, "weight overflows a float")):
+            rho = MixedState(((weight, one), (weight, one)))
+            with pytest.raises(ValueError, match=message):
+                TargetOverlaps(one).fidelity(rho)
 
 
 class TestClosedFormFidelity:

@@ -262,6 +262,13 @@ class TestPartialTrace:
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_pattern_mass_is_infinite(self):
+        table = pattern_table(FockState((A, B), {(0, 1): 1e154, (0, 2): 1e154}), (A,))
+        ((pattern, (mass, _)),) = table.patterns.items()
+        assert mass == math.inf
+        assert table.branch(pattern).amplitudes == {(1,): 1 / math.sqrt(2),
+                                                    (2,): 1 / math.sqrt(2)}
+
     def test_keep_all_one_or_two_of_three_channels(self):
         psi = FockState((A, B, C), {(1, 0, 2): 0.6, (0, 1, 2): 0.8})
         ((pattern, (mass, amps)),) = pattern_table(psi, ()).patterns.items()
@@ -285,6 +292,10 @@ class TestMixedState:
     def test_channel_consistency(self):
         with pytest.raises(ModeMismatchError):
             MixedState(((0.5, FockState.vacuum((A,))), (0.5, FockState.vacuum((B,)))))
+
+    def test_overflowing_total_weight_is_infinite(self):
+        st = FockState.vacuum((A,))
+        assert MixedState(((1e308, st), (1e308, st))).total_weight() == math.inf
 
     def test_empty_ensemble_has_no_channels(self):
         with pytest.raises(ValueError, match="empty ensemble has no channels"):

@@ -396,7 +396,7 @@ def teleport_by_reweight(input_amps, src, target_amps):
             branches.append((w, protocols._sigma_z(st, protocols._TP2_V) if correct else st))
     out = MixedState(tuple(branches))
     target = FockState(protocols._TP2.channels, target_amps)
-    return protocols._outcome(total, out, TargetOverlaps(target), out.total_weight())
+    return protocols._outcome(total, out, TargetOverlaps(target))
 
 
 def exact_protocol_outcome(outc):
@@ -555,6 +555,33 @@ class TestKerrHerald:
                 for tau in taus:
                     assert exact_protocol_outcome(kerr_qnd(spec, tau, det)) == (
                         exact_protocol_outcome(kerr_unheralded(spec, tau, det))), (spec, tau, eta2)
+
+
+class TestOutputWeight:
+    """A device's success probability is its conditional output's weight, the
+    weight the fidelity renormalizes by."""
+
+    @pytest.mark.parametrize("counting", [True, False], ids=["counting", "threshold"])
+    @pytest.mark.parametrize("device", ["number", "pol", "kerr"])
+    def test_success_probability_is_the_total_weight_bit_for_bit(self, device, counting):
+        rng = np.random.default_rng(89)
+        specs = [PURE_ONE, PURE_TWO, NumberInputSpec(1.0, 0.0, 0.0)]
+        for _ in range(6):
+            c = rng.normal(size=3) + 1j * rng.normal(size=3)
+            specs.append(NumberInputSpec(*(c / np.linalg.norm(c)).tolist()))
+        for spec in specs:
+            x, y = rng.random(2).tolist()
+            for eta2 in (0.0, 5e-324, 1e-160, 0.5, 0.88, 1.0):
+                det = DetectorModel(eta2, counting)
+                if device == "number":
+                    outc = number_qnd(spec, 0.05 + 0.9 * x, det)
+                elif device == "pol":
+                    outc = pol_qnd(spec, PolarizationAngle.from_bloch(math.pi * x,
+                                                                      2 * math.pi * y), det)
+                else:
+                    outc = kerr_qnd(spec, 20.0 * x - 10.0, det)
+                assert outc.success_probability.hex() == (
+                    outc.conditional_output.total_weight().hex()), (spec, x, y, eta2)
 
 
 class TestCalculators:

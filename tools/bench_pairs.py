@@ -6,20 +6,23 @@
 Each pair runs `perfbench/run.py --trace 0` once in each checkout with the
 same seed and run length; the parent runs first in even-numbered pairs and the
 change first in odd-numbered ones.  For each workload the output records every
-run's end-to-end metrics, failed-op count and digest, each side's median and
-quartiles per metric, how many pairs the change won per metric (ties count
-for neither side), and whether the metric is resolved: the parent's spread
-(interquartile range over median) is within the metric's bound, or every
-change run beats every parent run.  Each workload also gets one
-`perfbench/run.py --trace 1` run per checkout on the first seed: traced runs
-replay fixed decks, so their counts repeat for a seed, and the output records
-both sides' per-layer values and the count metrics whose values differ.  It
-also records both commits, their `src/` line counts (`src_lines` in total,
-`src_module_lines` per file under `src/`), the CPU model, and numpy's BLAS
-build and run-time kernel: the circuit-evolve digest depends on the kernel.
-Runs last `run_seconds` from the change's BENCHMARK.json, and each invocation
-writes a fresh file, so every pair in it comes from one host and one run
-length.  Standard library only; numpy is
+run's end-to-end metrics, failed-op and mishandled-edge-request counts,
+`correct` flag and digest, each side's median and quartiles per metric, how
+many pairs the change won per metric (ties count for neither side), and
+whether the metric is resolved: the parent's spread (interquartile range over
+median) is within the metric's bound, or every change run beats every parent
+run.  A `checks` block per workload lists the seeds whose parent and change
+digests differ, sums failed ops and mishandled edge requests per side, and
+lists the runs that are not `correct`; one stderr line repeats it.  Each
+workload also gets one `perfbench/run.py --trace 1` run per checkout on the
+first seed: traced runs replay fixed decks, so their counts repeat for a seed,
+and the output records both sides' per-layer values and the count metrics
+whose values differ.  It also records both commits, their `src/` line counts
+(`src_lines` in total, `src_module_lines` per file under `src/`), the CPU
+model, and numpy's BLAS build and run-time kernel: the circuit-evolve digest
+depends on the kernel.  Runs last `run_seconds` from the change's
+BENCHMARK.json, and each invocation writes a fresh file, so every pair in it
+comes from one host and one run length.  Standard library only; numpy is
 queried in a child interpreter.
 """
 
@@ -97,13 +100,30 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int,
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced run: its end-to-end metrics, op counts and digest."""
+    """One untraced run: its end-to-end metrics, op and edge-request counts,
+    `correct` flag and digest."""
     summary, saved = perfbench(checkout, workload, seed, seconds, 0)
     return {
         "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
         "attempted": summary["attempted"],
         "failed": summary["failed"],
+        "edge_attempted": saved["edge_attempted"],
+        "edge_failed": saved["edge_failed"],
+        "correct": saved["correct"],
         "digest": saved.get("digest"),
+    }
+
+
+def checks(pairs: list[dict]) -> dict:
+    """Seeds whose two digests differ, failed ops and edge requests per side,
+    and the (seed, side) of every run that is not `correct`."""
+    sides = ("parent", "change")
+    return {
+        "digests_differ": [p["seed"] for p in pairs
+                           if p["parent"]["digest"] != p["change"]["digest"]],
+        **{key: {s: sum(p[s][key] for p in pairs) for s in sides}
+           for key in ("failed", "edge_failed", "edge_attempted")},
+        "incorrect": [[p["seed"], s] for p in pairs for s in sides if not p[s]["correct"]],
     }
 
 
@@ -197,6 +217,13 @@ def main() -> int:
                       f"ops_per_s {pair[side]['metrics']['ops_per_s']:.1f}, "
                       f"failed {pair[side]['failed']}", file=sys.stderr, flush=True)
             pairs.append(pair)
+        checked = checks(pairs)
+        print(f"{workload} checks: digests differ {checked['digests_differ'] or 'nowhere'}; "
+              + "; ".join(f"{s} failed {checked['failed'][s]}, edge requests mishandled "
+                          f"{checked['edge_failed'][s]} of {checked['edge_attempted'][s]}"
+                          for s in ("parent", "change"))
+              + f"; incorrect runs {checked['incorrect'] or 'none'}",
+              file=sys.stderr, flush=True)
         traced = traced_runs(parent, change, workload, args.seeds[0], seconds)
         print(f"{workload} seed {args.seeds[0]} traced: counts differ "
               f"{traced['counts_differ'] or 'nowhere'}", file=sys.stderr, flush=True)
@@ -204,6 +231,7 @@ def main() -> int:
             "seeds": args.seeds,
             "pairs": pairs,
             "summary": summarize(pairs, bench["end_to_end"]),
+            "checks": checked,
             "traced": traced,
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
