@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -229,6 +230,28 @@ def _factorials_overflow(occ: tuple[int, ...]) -> str:
     return f"ket {occ}: its normalization sqrt(prod n!) overflows a float"
 
 
+def _routable(column: list, watch: tuple, owed: int, left: int, base: int, top: int) -> list:
+    """The entries of `column` whose child a kept parent may form, at a step
+    that leaves `left` photons to place.  `owed` codes the photons the
+    parent lacks, digit by floored channel, plus their number times `top`;
+    `watch` holds (stride, later photons reaching it) for each floored
+    channel whose limit this step can break.  None if two such channels
+    would be left short, only the entries onto the one that would, only
+    those onto a lacking channel if the total lack exceeds `left`, else all.
+    """
+    short = 0
+    for at, later in watch:
+        if owed // at % base > later:
+            if short:
+                return []
+            short = at
+    if short:
+        return [e for e in column if e[0] == short]
+    if owed // top > left:
+        return [e for e in column if owed // e[0] % base]
+    return column
+
+
 def apply(
     t: ModeTransform, state: FockState, floor: Mapping[Channel, int] | None = None
 ) -> FockState:
@@ -239,13 +262,26 @@ def apply(
     Photon number is conserved, so no digit reaches B and a_i^dagger adds B^i,
     and output codes are decoded to occupation tuples only at the end.
 
-    `floor`, if given, maps channels to the fewest photons an output ket must
-    hold there; the result is the full output restricted to the kets that
-    meet it (heralded evolution).  A partial monomial whose shortfall
-    sum_c max(0, k_c - m_c) exceeds the photons still to place is not formed:
-    no descendant of it can reach the floor, and every parent of a kept
-    monomial is kept, so the kept amplitudes are the same sums, in the same
-    order, bit for bit.
+    `floor`, if given, maps channels to the fewest photons (a non-negative
+    int) an output ket must hold there; the result is the full output
+    restricted to the kets that meet it (heralded evolution).  The photon of
+    input channel j can land on channel c only if U[c, j] != 0.  So, after
+    each photon, a partial monomial is kept only if its total lack
+    sum_c max(0, k_c - m_c) is at most the photons still to place and, for
+    each floored channel c, its lack there is at most the photons still to
+    place whose column reaches c.  A kept parent exceeds these limits by at
+    most one photon, so the rule is decided once per parent and step,
+    memoized by the parent's lack and the step: all of its children are
+    kept, or only those that add a photon to the one channel a limit names
+    (or, for the total, to any lacking channel), or none.  Where every
+    column that misses a floored channel has a single non-zero entry, the
+    photons placed after a channel's last reaching photon do not branch, so
+    the per-ket scan that finds where those limits bind would cost more than
+    it saves, and only the total limit is applied; otherwise a ket too few of
+    whose photons reach some floored channel is skipped.  Only monomials
+    with no descendant that meets the floor are dropped, and every parent of
+    a kept monomial is kept, so the kept amplitudes are the same sums, in the
+    same order, bit for bit.
 
     Cancellation residues are dropped here (see `_RESIDUE`), and a NaN or
     infinite output amplitude raises `ValueError`, so the result meets
@@ -253,29 +289,44 @@ def apply(
     an input or output ket whose sqrt(prod n!) overflows a float: 171 or
     more photons in one channel, or fewer spread over several.
     """
-    for c in t.channels:
-        if c not in state.channels:
-            raise ModeMismatchError(f"transform channel {c} not in state")
-    full = t.embedded(state.channels)
+    full = t
+    if t.channels != state.channels:  # equal tuples need neither check nor padding
+        for c in t.channels:
+            if c not in state.channels:
+                raise ModeMismatchError(f"transform channel {c} not in state")
+        full = t.embedded(state.channels)
     base = max((sum(occ) for occ in state.amplitudes), default=0) + 1
     strides = [base**i for i in range(len(state.channels))]
+    cols = full.matrix.T.tolist()
     # column j of the matrix, as (stride of channel i, U[i, j]) for U[i, j] != 0
-    columns = [
-        [(s, cij) for s, cij in zip(strides, col) if cij != 0]
-        for col in full.matrix.T.tolist()
-    ]
-    # (stride, fewest photons) per channel with a positive floor
-    need = []
+    columns = [[(s, cij) for s, cij in zip(strides, col) if cij != 0] for col in cols]
+    need = []  # (stride, fewest photons) per channel with a positive floor
+    scan = False  # whether a column with two or more entries misses a floored channel
     if floor:
+        reach = [[] for _ in cols]  # per column, (index in `need`, stride, k) of those it reaches
         for c, k in zip(as_channels(floor), floor.values()):
-            if c not in state.channels:
-                raise ModeMismatchError(f"floor channel {c} not in state")
+            try:
+                i = state.channels.index(c)
+            except ValueError:
+                raise ModeMismatchError(f"floor channel {c} not in state") from None
+            try:
+                k = operator.index(k)  # an int, or an integer type such as numpy's
+            except TypeError:
+                raise ValueError(f"floor {k!r} on {c} is not an integer") from None
             if k < 0:
                 raise ValueError(f"negative floor {k} on {c}")
             if k:
-                need.append((strides[state.channels.index(c)], k))
+                for hits, col, column in zip(reach, cols, columns):
+                    if col[i]:
+                        hits.append((len(need), strides[i], k))
+                    elif len(column) > 1:
+                        scan = True
+                need.append((strides[i], k))
     total = sum(k for _, k in need)
-    shortfalls: dict[int, int] = {}  # code -> shortfall, once per code
+    top = base ** len(state.channels)  # the digit of a lack code that counts the lack
+    owes: dict[int, int] = {}  # code -> lack code, once per code
+    kept: dict[tuple, dict[int, list]] = {}  # step -> lack code -> column entries open
+    watches: dict[int, tuple] = {}  # photons left -> limits the photon can break
 
     factorial = [math.factorial(n) for n in range(base)]
     acc: dict[int, complex] = {}  # output code -> amplitude
@@ -285,6 +336,35 @@ def apply(
         left = sum(occ)  # photons still to place
         if left < total:
             continue  # no ket of this photon number meets the floor
+        start = total  # parents are checked where `left` falls below this
+        if scan:
+            # from the last photon back, watches[n] holds, for the photon that
+            # leaves n to place, the (stride, later photons reaching it) of
+            # each floored channel it reaches that fewer than k and fewer than
+            # n later photons reach (where all n do, the total limit covers it)
+            watches = {}
+            after = [0] * len(need)  # later photons that reach each floored channel
+            unmet = len(need)  # floored channels with after < k
+            n = 0
+            for j in range(len(occ) - 1, -1, -1):
+                hits = reach[j]
+                for _ in range(occ[j]):
+                    watch = ()
+                    for f, at, k in hits:
+                        a = after[f]
+                        if a < k:
+                            if a < n:
+                                watch += ((at, a),)
+                            after[f] = a + 1
+                            unmet -= a + 1 == k
+                    if watch:
+                        watches[n] = watch
+                        start = max(start, n + 1)
+                    n += 1
+                if not unmet:
+                    break
+            else:
+                continue  # too few of its photons reach some floored channel
         # start from amp / sqrt(prod occ!) and multiply one linear form per photon
         try:
             poly = {0: amp / math.sqrt(math.prod(map(factorial.__getitem__, occ)))}
@@ -295,20 +375,30 @@ def apply(
                 new_poly: dict[int, complex] = {}
                 get = new_poly.get
                 left -= 1
-                if left < total:  # only now can a shortfall exceed `left`
+                if left < start and (left < total or left in watches):
+                    # a child may leave the floor out of reach
+                    watch = watches.get(left, ())
+                    # the step's decisions depend on the limits it can break,
+                    # on `left` below `total` and on its column (by identity)
+                    step = (left if left < total else total, id(column), watch)
+                    open_ = kept.get(step)
+                    if open_ is None:
+                        open_ = kept[step] = {0: column}  # lacking none: all
                     for mon, c0 in poly.items():
-                        for stride, cij in column:
+                        owed = owes.get(mon)
+                        if owed is None:
+                            owed = 0
+                            for at, k in need:
+                                m = mon // at % base
+                                if m < k:
+                                    owed += (k - m) * (at + top)
+                            owes[mon] = owed
+                        entries = open_.get(owed)
+                        if entries is None:
+                            entries = open_[owed] = _routable(column, watch, owed, left, base, top)
+                        for stride, cij in entries:
                             new = mon + stride
-                            short = shortfalls.get(new)
-                            if short is None:
-                                short = 0
-                                for at, k in need:
-                                    m = new // at % base
-                                    if m < k:
-                                        short += k - m
-                                shortfalls[new] = short
-                            if short <= left:
-                                new_poly[new] = get(new, 0j) + c0 * cij
+                            new_poly[new] = get(new, 0j) + c0 * cij
                 else:
                     for mon, c0 in poly.items():
                         for stride, cij in column:

@@ -598,3 +598,45 @@ class TestHeraldedApply:
         state = FockState.basis((A, B), (1, 1))
         with pytest.raises(ValueError, match="negative floor"):
             apply(beam_splitter(BeamSplitterSpec(0.5), A, B), state, {A: -1})
+
+    @pytest.mark.parametrize("k", [math.nan, 1.5, math.inf, "1"], ids=["nan", "1.5", "inf", "str"])
+    def test_non_integer_floor_rejected(self, k):
+        state = FockState.basis((A, B), (1, 1))
+        with pytest.raises(ValueError, match="is not an integer"):
+            apply(beam_splitter(BeamSplitterSpec(0.5), A, B), state, {A: k})
+
+    # (transform, floor by channel index, a ket none of whose photons can reach
+    # a floored channel): the zeros of these matrices let the floor's
+    # per-channel limits bind before the total one does
+    ZERO_BLOCK = np.block([[unitary_group.rvs(2, random_state=3), np.zeros((2, 2))],
+                           [np.zeros((2, 2)), unitary_group.rvs(2, random_state=4)]])
+    SPARSE = {
+        "pol-1": (pol_device_transform, {2: 1, 3: 1, 4: 1, 5: 1}, (0, 0, 0, 0, 2, 1)),
+        "pol-2": (pol_device_transform, {2: 2, 5: 1}, (0, 0, 0, 0, 1, 2)),
+        "number-1": (lambda: number_device_transform(0.3), {2: 1, 3: 1}, (2, 0, 0, 0)),
+        "number-2": (lambda: number_device_transform(0.3), {0: 1, 3: 2}, (3, 0, 0, 0)),
+        "splitter-1": (lambda: beam_splitter(BeamSplitterSpec(0.7), B, D).embedded((A, B, C, D)),
+                       {1: 1}, (2, 0, 1, 0)),
+        "splitter-2": (lambda: beam_splitter(BeamSplitterSpec(0.7), B, D).embedded((A, B, C, D)),
+                       {1: 2, 3: 1}, (1, 0, 2, 0)),
+        "zero-block-1": (lambda: matrix_transform((A, B, C, D), TestHeraldedApply.ZERO_BLOCK),
+                         {0: 1, 2: 1}, (0, 0, 2, 1)),
+        "zero-block-2": (lambda: matrix_transform((A, B, C, D), TestHeraldedApply.ZERO_BLOCK),
+                         {0: 2}, (0, 0, 1, 3)),
+    }
+
+    @pytest.mark.parametrize("seed, name", enumerate(SPARSE), ids=list(SPARSE))
+    def test_sparse_floor_restricts_the_output_bit_for_bit(self, seed, name):
+        make, floor_at, unreachable = self.SPARSE[name]
+        t = make()
+        channels = t.channels
+        floor = {channels[i]: k for i, k in floor_at.items()}
+        assert apply(t, FockState.basis(channels, unreachable), floor).amplitudes == {}
+        amps = dict(sparse_state(np.random.default_rng(seed), channels, 6, 6).amplitudes)
+        amps[unreachable] = 0.3 - 0.2j
+        state = FockState(channels, amps)
+        full = apply(t, state).amplitudes
+        kept = {occ: a for occ, a in full.items()
+                if all(occ[i] >= k for i, k in floor_at.items())}
+        assert 0 < len(kept) < len(full)
+        assert exact_items(apply(t, state, floor).amplitudes) == exact_items(kept)

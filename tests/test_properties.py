@@ -150,6 +150,20 @@ def test_apply_output_meets_the_constructor_invariants(case):
 
 
 @REPRODUCIBLE
+@given(transform_state_and_floor())
+def test_floored_apply_is_apply_restricted_to_the_floor(case):
+    """The floor only skips work: `apply` with a floor is `apply` without one,
+    restricted to the kets that meet it, with the same keys in the same order
+    and the same bits.  A transform on some of the channels leaves the others'
+    columns at 0 off the diagonal, so the floor's per-channel limits bind."""
+    t, state, floor = case
+    at = {state.channels.index(c): k for c, k in floor.items()}
+    kept = {occ: a for occ, a in apply(t, state).amplitudes.items()
+            if all(occ[i] >= k for i, k in at.items())}
+    assert exact_items(apply(t, state, floor).amplitudes) == exact_items(kept)
+
+
+@REPRODUCIBLE
 @given(transform_and_state())
 def test_apply_commutes_with_power_of_two_scaling(case):
     """Residues are pruned relative to the input amplitudes that feed them, so
