@@ -175,9 +175,9 @@ class EvolvedDevice:
     forms only the partial monomials that can still herald, deciding once
     per parent which children keep that possible, and returns the full
     output restricted to the heralding kets, bit for bit.  For gamma = 1 and
-    theta = (1.1, 2.3), the `pol` build forms 930 (monomial, column entry)
-    pairs, where the photon count alone formed 2774 and 857 can herald;
-    `number` forms 46 of 80.  Linear-optical evolution does not depend on
+    theta = (1.1, 2.3), the `pol` build visits 930 (monomial, column entry)
+    pairs, where the photon count alone visited 2774 and 857 lead to a
+    heralding ket; `number` visits 46 of 80.  Linear-optical evolution does not depend on
     the detector efficiency, so the evolved state is tabulated once by
     heralding pattern and `outcome` only applies a detector model: a sweep
     over efficiencies evolves once, and each branch's overlap with `target`

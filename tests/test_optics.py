@@ -608,27 +608,25 @@ class TestHeraldedApply:
     # (transform, floor by channel index, a ket none of whose photons can reach
     # a floored channel): the zeros of these matrices let the floor's
     # per-channel limits bind before the total one does
-    ZERO_BLOCK = np.block([[unitary_group.rvs(2, random_state=3), np.zeros((2, 2))],
-                           [np.zeros((2, 2)), unitary_group.rvs(2, random_state=4)]])
+    POL, NUMBER = pol_device_transform(), number_device_transform(0.3)
+    SPLITTER = beam_splitter(BeamSplitterSpec(0.7), B, D).embedded((A, B, C, D))
+    ZERO_BLOCK = matrix_transform((A, B, C, D), np.block(
+        [[unitary_group.rvs(2, random_state=3), np.zeros((2, 2))],
+         [np.zeros((2, 2)), unitary_group.rvs(2, random_state=4)]]))
     SPARSE = {
-        "pol-1": (pol_device_transform, {2: 1, 3: 1, 4: 1, 5: 1}, (0, 0, 0, 0, 2, 1)),
-        "pol-2": (pol_device_transform, {2: 2, 5: 1}, (0, 0, 0, 0, 1, 2)),
-        "number-1": (lambda: number_device_transform(0.3), {2: 1, 3: 1}, (2, 0, 0, 0)),
-        "number-2": (lambda: number_device_transform(0.3), {0: 1, 3: 2}, (3, 0, 0, 0)),
-        "splitter-1": (lambda: beam_splitter(BeamSplitterSpec(0.7), B, D).embedded((A, B, C, D)),
-                       {1: 1}, (2, 0, 1, 0)),
-        "splitter-2": (lambda: beam_splitter(BeamSplitterSpec(0.7), B, D).embedded((A, B, C, D)),
-                       {1: 2, 3: 1}, (1, 0, 2, 0)),
-        "zero-block-1": (lambda: matrix_transform((A, B, C, D), TestHeraldedApply.ZERO_BLOCK),
-                         {0: 1, 2: 1}, (0, 0, 2, 1)),
-        "zero-block-2": (lambda: matrix_transform((A, B, C, D), TestHeraldedApply.ZERO_BLOCK),
-                         {0: 2}, (0, 0, 1, 3)),
+        "pol-1": (POL, {2: 1, 3: 1, 4: 1, 5: 1}, (0, 0, 0, 0, 2, 1)),
+        "pol-2": (POL, {2: 2, 5: 1}, (0, 0, 0, 0, 1, 2)),
+        "number-1": (NUMBER, {2: 1, 3: 1}, (2, 0, 0, 0)),
+        "number-2": (NUMBER, {0: 1, 3: 2}, (3, 0, 0, 0)),
+        "splitter-1": (SPLITTER, {1: 1}, (2, 0, 1, 0)),
+        "splitter-2": (SPLITTER, {1: 2, 3: 1}, (1, 0, 2, 0)),
+        "zero-block-1": (ZERO_BLOCK, {0: 1, 2: 1}, (0, 0, 2, 1)),
+        "zero-block-2": (ZERO_BLOCK, {0: 2}, (0, 0, 1, 3)),
     }
 
     @pytest.mark.parametrize("seed, name", enumerate(SPARSE), ids=list(SPARSE))
     def test_sparse_floor_restricts_the_output_bit_for_bit(self, seed, name):
-        make, floor_at, unreachable = self.SPARSE[name]
-        t = make()
+        t, floor_at, unreachable = self.SPARSE[name]
         channels = t.channels
         floor = {channels[i]: k for i, k in floor_at.items()}
         assert apply(t, FockState.basis(channels, unreachable), floor).amplitudes == {}
