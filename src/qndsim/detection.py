@@ -69,9 +69,12 @@ class PatternTable:
     """An evolved state's support bucketed by detected-channel pattern.
 
     Holds each pattern's mass and its amplitudes on the kept channels, and no
-    detector model: `reweight` applies one.  A pattern's normalized branch
-    state is built the first time a detector gives it a non-zero POVM factor
-    and is then reused, because most patterns never get one.
+    detector model: `weigh` applies one.  A pattern's normalized branch state
+    is built the first time a detector gives it a non-zero POVM factor and is
+    then reused.  A heralding device's table holds only patterns that meet
+    its success readings, so at 0 < eta^2 < 1 nearly every pattern gets a
+    factor; the laziness pays at eta^2 = 1, where only the pattern equal to
+    the readings does, and for `condition` calls on unfloored states.
     """
 
     __slots__ = ("detected", "kept", "patterns", "top", "_branches")
@@ -134,37 +137,45 @@ def pattern_table(
     return PatternTable(detected, kept, patterns)
 
 
-def reweight(
-    table: PatternTable, readings: tuple[int, ...], det: DetectorModel = IDEAL
-) -> tuple[float, MixedState]:
-    """Apply the POVM factors of one set of readings to a pattern table.
+def weigh(table: PatternTable, readings: tuple[int, ...],
+          det: DetectorModel = IDEAL) -> list[tuple[float, FockState]]:
+    """(weight, branch) pairs of one set of readings on a pattern table.
 
     `readings` lists one reading per detected channel, in `table.detected`
-    order, and `det` models every detector.  Returns (probability,
-    unnormalized conditional ensemble on the kept channels); the branch
-    weights sum to the probability.  Each pattern is weighted by the product
-    of its POVM coefficients.
+    order, and `det` models every detector.  Each pattern is weighted by the
+    product of its POVM coefficients times its mass, in table order; a zero
+    coefficient or an underflowed product drops the pattern.
     """
     if len(readings) != len(table.detected):
-        raise ModeMismatchError(
-            f"{len(readings)} readings for detected channels {table.detected}"
-        )
+        raise ModeMismatchError(f"{len(readings)} readings for detected channels {table.detected}")
+    if det.efficiency == 1.0 and det.resolves_photon_number:
+        # an ideal counter's only non-zero coefficient is exactly 1.0, at the
+        # pattern equal to the readings, so look that pattern up
+        entry = table.patterns.get(readings)
+        if entry is not None:
+            return [(entry[0], table.branch(readings))]
+        if min(readings, default=0) < 0:  # a pattern holds none
+            raise ValueError("reading must be non-negative")
+        return []
     # tabulated up to every occupation and every reading, once per distinct
     # reading; a reading above all occupations gets zero coefficients
     top = max((table.top, *readings))
     rows = {k: povm_element(k, det, top) for k in dict.fromkeys(readings)}
     coeffs = [rows[k] for k in readings]
-    weights: list[float] = []
-    branches: list[tuple[float, FockState]] = []
+    pairs: list[tuple[float, FockState]] = []
     for pattern, (mass, _) in table.patterns.items():
-        # a zero coefficient or an underflowed product drops the pattern
         povm_factor = math.prod(map(tuple.__getitem__, coeffs, pattern))
-        if povm_factor == 0.0:
-            continue
-        w = povm_factor * mass
-        weights.append(w)
-        branches.append((w, table.branch(pattern)))
-    return nonnegative_fsum(weights), MixedState(tuple(branches))
+        if povm_factor != 0.0:
+            pairs.append((povm_factor * mass, table.branch(pattern)))
+    return pairs
+
+
+def reweight(table: PatternTable, readings: tuple[int, ...],
+             det: DetectorModel = IDEAL) -> tuple[float, MixedState]:
+    """(probability, unnormalized conditional ensemble on the kept channels)
+    of `weigh`'s pairs; the branch weights sum to the probability."""
+    pairs = weigh(table, readings, det)
+    return nonnegative_fsum(w for w, _ in pairs), MixedState(tuple(pairs))
 
 
 def condition(
@@ -234,8 +245,8 @@ def closed_form_fidelity(gamma: float, eta: float) -> float:
     independent of gamma.  The two agree only at gamma = 0 and at eta = 1.
     Raises ValueError if a term overflows.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    if not 0.0 <= gamma < math.inf:  # also rejects NaN
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta out of range [0, 1]")
     lt = 1.0 - eta**2  # eta_tilde squared

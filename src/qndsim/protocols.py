@@ -20,10 +20,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .detection import IDEAL, DetectorModel, TargetOverlaps, pattern_table, reweight
-from .fock import Channel, FockState, MixedState, Mode
+from .detection import IDEAL, DetectorModel, TargetOverlaps, pattern_table, weigh
+from .fock import Channel, FockState, MixedState, Mode, ModeMismatchError, nonnegative_fsum
 from .optics import (
     BeamSplitterSpec,
     ModeTransform,
@@ -158,48 +157,64 @@ class ProtocolOutcome:
     target: FockState
 
 
-def _outcome(prob: float, out: MixedState, overlaps: TargetOverlaps) -> ProtocolOutcome:
-    if math.isnan(prob):
-        raise ValueError("success probability is NaN")
-    fid = overlaps.fidelity(out) if prob > 0.0 else 0.0
-    return ProtocolOutcome(prob, out, fid, overlaps.target)
-
-
 class EvolvedDevice:
     """A heralding device after evolution, before detection: `transform`
-    evolves `state`, and `success` gives each detected channel's success
-    reading.
+    evolves `state` and the `detected` channels are read out.  Each entry of
+    `accepted` is a set of readings, in `detected` order, that heralds
+    success, and the channel whose odd photon numbers a sigma_z feed-forward
+    then flips, or None.
 
     A reading of k photons needs k photons that the network can route to
-    that detector (U[c, j] != 0), so the readings are `apply`'s floor: it
-    forms only the partial monomials that can still herald, deciding once
-    per parent which children keep that possible, and returns the full
-    output restricted to the heralding kets, bit for bit.  For gamma = 1 and
-    theta = (1.1, 2.3), the `pol` build visits 930 (monomial, column entry)
-    pairs, where the photon count alone visited 2774 and 857 lead to a
-    heralding ket; `number` visits 46 of 80.  Linear-optical evolution does not depend on
-    the detector efficiency, so the evolved state is tabulated once by
-    heralding pattern and `outcome` only applies a detector model: a sweep
-    over efficiencies evolves once, and each branch's overlap with `target`
-    is computed once.
+    that detector (U[c, j] != 0), so the per-channel minimum of the accepted
+    readings is `apply`'s floor: it forms only the partial monomials that
+    can still herald, deciding once per parent which children keep that
+    possible, and returns the full output restricted to the kets that meet
+    it, bit for bit.  For gamma = 1 and theta = (1.1, 2.3), the `pol` build
+    visits 930 (monomial, column entry) pairs, where the photon count alone
+    visited 2774 and 857 lead to a heralding ket; `number` visits 46 of 80.
+    Linear-optical evolution does not depend on the detector efficiency, so
+    the evolved state is tabulated once by detected pattern and `outcome`
+    only applies a detector model: a sweep over efficiencies evolves once,
+    and each branch's overlap with `target` is computed once.
     """
 
-    __slots__ = ("table", "readings", "_overlaps")
+    __slots__ = ("table", "accepted", "_overlaps", "_flipped")
 
-    def __init__(
-        self,
-        transform: ModeTransform,
-        state: FockState,
-        success: Mapping[Channel, int],
-        target: FockState,
-    ):
-        self.table = pattern_table(apply(transform, state, success), success)
-        self.readings = tuple(success.values())  # in table.detected order
+    def __init__(self, transform: ModeTransform, state: FockState, detected: tuple[Channel, ...],
+                 accepted: tuple[tuple[tuple[int, ...], Channel | None], ...], target: FockState):
+        if not accepted:
+            raise ValueError("a device must accept at least one set of readings")
+        readings, _ = zip(*accepted)
+        if set(map(len, readings)) != {len(detected)}:
+            raise ModeMismatchError(f"accepted readings {readings} for channels {detected}")
+        lowest = [*map(min, zip(*readings))]
+        floor = dict(zip(detected, lowest)) if any(lowest) else None
+        self.table = pattern_table(apply(transform, state, floor), detected)
+        self.accepted = accepted
         self._overlaps = TargetOverlaps(target)
+        self._flipped: dict[tuple[FockState, Channel], FockState] = {}  # sigma_z images
 
     def outcome(self, det: DetectorModel = IDEAL) -> ProtocolOutcome:
-        prob, out = reweight(self.table, self.readings, det)
-        return _outcome(prob, out, self._overlaps)
+        """The accepted readings' probabilities, added in turn, and ensemble."""
+        table, prob = self.table, 0.0
+        branches: list[tuple[float, FockState]] = []
+        for readings, flip in self.accepted:
+            pairs = weigh(table, readings, det)
+            prob += nonnegative_fsum(w for w, _ in pairs)
+            if flip is not None:
+                pairs = [(w, self._flip(st, flip)) for w, st in pairs]
+            branches += pairs
+        if math.isnan(prob):
+            raise ValueError("success probability is NaN")
+        out = MixedState(tuple(branches))
+        fid = self._overlaps.fidelity(out) if prob > 0.0 else 0.0
+        return ProtocolOutcome(prob, out, fid, self._overlaps.target)
+
+    def _flip(self, branch: FockState, channel: Channel) -> FockState:
+        st = self._flipped.get((branch, channel))
+        if st is None:
+            st = self._flipped[branch, channel] = _sigma_z(branch, channel)
+        return st
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +222,6 @@ class EvolvedDevice:
 # ---------------------------------------------------------------------------
 
 _A, _B, _C, _D = Channel("a"), Channel("b"), Channel("c"), Channel("d")
-# success readings per detected channel
-_NUMBER_SUCCESS = {_A: 0, _C: 1, _D: 1}
 
 
 def number_device_transform(transmission: float = 0.5) -> ModeTransform:
@@ -245,7 +258,7 @@ def number_device(input: NumberInputSpec, transmission: float = 0.5) -> EvolvedD
         (2, 0, 1, 1): input.c2,
     }
     return EvolvedDevice(number_device_transform(transmission), FockState(channels, amps),
-                         _NUMBER_SUCCESS, FockState.basis((_B,), (1,)))
+                         (_A, _C, _D), (((0, 1, 1), None),), FockState.basis((_B,), (1,)))
 
 
 def number_qnd(
@@ -267,8 +280,6 @@ _P_DH = Channel("d", "H")
 _P_EV = Channel("e", "V")
 _P_FH = Channel("f", "H")
 _POL_CHANNELS = (_P_AH, _P_AV, _P_CV, _P_DH, _P_EV, _P_FH)
-# success readings per detected channel
-_POL_SUCCESS = {_P_CV: 1, _P_DH: 1, _P_EV: 1, _P_FH: 1}
 
 
 def pol_device_transform() -> ModeTransform:
@@ -323,7 +334,8 @@ def pol_device(input: NumberInputSpec, theta: PolarizationAngle) -> EvolvedDevic
         (ka_h, ka_v, 1, 1, 1, 1): amp for (ka_h, ka_v), amp in sig_amps.items()
     }
     target = FockState((_P_AH, _P_AV), {(1, 0): theta.alpha, (0, 1): theta.beta})
-    return EvolvedDevice(_POL_TRANSFORM, FockState(_POL_CHANNELS, amps), _POL_SUCCESS, target)
+    return EvolvedDevice(_POL_TRANSFORM, FockState(_POL_CHANNELS, amps),
+                         (_P_CV, _P_DH, _P_EV, _P_FH), (((1, 1, 1, 1), None),), target)
 
 
 def pol_qnd(
@@ -339,8 +351,8 @@ def pol_fidelity_approx(gamma: float, eta: float) -> float:
     coefficients; see the acceptance tests for its relation to exact
     simulation).  `eta` is the detection amplitude, eta^2 the probability.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    if not 0.0 <= gamma < math.inf:  # also rejects NaN
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta out of range [0, 1]")
     lt = 1.0 - eta**2
@@ -359,25 +371,24 @@ def pol_fidelity_approx(gamma: float, eta: float) -> float:
 _TS = Mode("in", polarized=True)  # signal input
 _TP1 = Mode("p1", polarized=True)  # pair arm meeting the input
 _TP2 = Mode("p2", polarized=True)  # distant pair arm (the output)
-_TS_H, _TS_V = _TS.channels
-_TP1_H, _TP1_V = _TP1.channels
-_TP2_H, _TP2_V = _TP2.channels
+_TP2_V = _TP2.channels[1]
 _TELEPORT_CHANNELS = _TS.channels + _TP1.channels + _TP2.channels
 _TELEPORT_BS = beam_splitter(BeamSplitterSpec(0.5), _TS, _TP1).embedded(_TELEPORT_CHANNELS)
 
 # Accepted partial-Bell-analyzer signatures over (in.H, in.V, p1.H, p1.V)
-# after the 50:50 beam splitter, and whether a sigma_z correction is applied
-# to the distant arm.  One photon per output port (any polarization) heralds
-# the singlet; two photons in one port with orthogonal polarizations herald
-# the triplet that a sigma_z feed-forward repairs.  Same-pol bunched events
-# are rejected (they herald the unrepairable pair of Bell states).
-_BELL_PATTERNS: tuple[tuple[tuple[int, int, int, int], bool], ...] = (
-    ((1, 0, 1, 0), False),
-    ((1, 0, 0, 1), False),
-    ((0, 1, 1, 0), False),
-    ((0, 1, 0, 1), False),
-    ((1, 1, 0, 0), True),
-    ((0, 0, 1, 1), True),
+# after the 50:50 beam splitter, and the distant-arm channel a sigma_z
+# correction flips, if any.  One photon per output port (any polarization)
+# heralds the singlet; two photons in one port with orthogonal polarizations
+# herald the triplet that a sigma_z feed-forward repairs.  Same-pol bunched
+# events are rejected (they herald the unrepairable pair of Bell states).
+_BELL_DETECTED = _TS.channels + _TP1.channels
+_BELL_PATTERNS = (
+    ((1, 0, 1, 0), None),
+    ((1, 0, 0, 1), None),
+    ((0, 1, 1, 0), None),
+    ((0, 1, 0, 1), None),
+    ((1, 1, 0, 0), _TP2_V),
+    ((0, 0, 1, 1), _TP2_V),
 )
 
 
@@ -407,11 +418,8 @@ def _sigma_z(state: FockState, v_channel: Channel) -> FockState:
     return FockState(state.channels, amps)
 
 
-def _teleport(
-    input_amps: dict[tuple[int, int], complex],
-    src: PdcSourceSpec,
-    target_amps: dict[tuple[int, int], complex],
-) -> ProtocolOutcome:
+def _teleport(input_amps: dict[tuple[int, int], complex], src: PdcSourceSpec,
+              target_amps: dict[tuple[int, int], complex]) -> ProtocolOutcome:
     signal = FockState(_TS.channels, input_amps)
     pair = pdc_state(src, (_TP1, _TP2))
     # the splitter keeps the photon number of (in, p1) and every Bell pattern
@@ -423,23 +431,9 @@ def _teleport(
         for occ_p, amp_p in pair.amplitudes.items()
         if sum(occ_s) + occ_p[0] + occ_p[1] == 2
     }
-    state = apply(_TELEPORT_BS, FockState(_TELEPORT_CHANNELS, amps))
-    table = pattern_table(state, (_TS_H, _TS_V, _TP1_H, _TP1_V))
-
-    # an ideal detector's coefficient is 1.0 at its reading and 0.0 elsewhere,
-    # so each accepted pattern weighs exactly its mass
-    total = 0.0
-    branches: list[tuple[float, FockState]] = []
-    for pattern, correct in _BELL_PATTERNS:
-        if pattern in table.patterns:
-            mass = table.patterns[pattern][0]
-            total += mass
-            st = table.branch(pattern)
-            branches.append((mass, _sigma_z(st, _TP2_V) if correct else st))
-    out = MixedState(tuple(branches))
     target = FockState(_TP2.channels, target_amps)
-    # `total` adds the masses in turn; the fidelity renormalizes by their fsum
-    return _outcome(total, out, TargetOverlaps(target))
+    return EvolvedDevice(_TELEPORT_BS, FockState(_TELEPORT_CHANNELS, amps), _BELL_DETECTED,
+                         _BELL_PATTERNS, target).outcome()
 
 
 def teleport_number_qnd(input: NumberInputSpec, src: PdcSourceSpec) -> ProtocolOutcome:
@@ -478,9 +472,6 @@ _K_W = Channel("arm")
 _K_S = Channel("signal")
 _KERR_CHANNELS = (_K_P, _K_W, _K_S)
 _KERR_BS = beam_splitter(BeamSplitterSpec(0.5), _K_P, _K_W).embedded(_KERR_CHANNELS)
-# success readings per detected channel: the constructive arm (D1) is `arm`,
-# the pi-shifted port (D2) is `probe`
-_KERR_SUCCESS = {_K_P: 1, _K_W: 0}
 
 
 def kerr_qnd(
@@ -503,7 +494,8 @@ def kerr_qnd(
     state = apply(_KERR_BS, state)
     state = kerr_gate(KerrGateSpec(tau), _K_W, _K_S, state)
     target = FockState.basis((_K_S,), (1,))
-    return EvolvedDevice(_KERR_BS, state, _KERR_SUCCESS, target).outcome(det)
+    # the pi-shifted port (D2) is `probe`, the constructive arm (D1) is `arm`
+    return EvolvedDevice(_KERR_BS, state, (_K_P, _K_W), (((1, 0), None),), target).outcome(det)
 
 
 # ---------------------------------------------------------------------------

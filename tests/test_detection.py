@@ -17,6 +17,7 @@ from qndsim.detection import (
     pattern_table,
     povm_element,
     reweight,
+    weigh,
 )
 from qndsim.fock import (
     Channel,
@@ -349,6 +350,45 @@ class TestReferenceReweight:
         assert (prob, out.branches) == (0.0, ())
 
 
+class TestWeighLookup:
+    """At an ideal counter `weigh` looks the readings' pattern up; the scan
+    over every pattern gives the same pairs."""
+
+    def test_lookup_returns_the_one_ideal_pattern(self):
+        state, detected = conditioned_state(DEVICES["number"][0])
+        table = pattern_table(state, detected)
+        for pattern, (mass, _) in table.patterns.items():
+            ((w, st),) = weigh(table, pattern)
+            assert w == mass and st is table.branch(pattern)
+            assert exact_outcome(*reweight(table, pattern)) == exact_outcome(
+                *full_scan_reweight(table, pattern)), pattern
+
+    def test_absent_reading_gives_no_pairs(self):
+        table = pattern_table(heralded_state(), (A, C, D))
+        absent = next(r for r in itertools.product(range(3), repeat=3) if r not in table.patterns)
+        assert weigh(table, absent) == []
+        assert full_scan_reweight(table, absent)[1].branches == ()
+
+    def test_reading_above_top_gives_no_pairs(self):
+        table = pattern_table(heralded_state(), (A, C, D))
+        readings = (0, table.top + 1, 1)
+        assert weigh(table, readings) == []
+        assert full_scan_reweight(table, readings)[1].branches == ()
+
+    @pytest.mark.parametrize("det", [IDEAL, DetectorModel(0.7)], ids=["lookup", "scan"])
+    def test_negative_reading_raises(self, det):
+        table = pattern_table(heralded_state(), (A, C, D))
+        with pytest.raises(ValueError, match="reading must be non-negative"):
+            weigh(table, (0, -1, 1), det)
+
+    @pytest.mark.parametrize("det", [IDEAL, DetectorModel(0.7)], ids=["lookup", "scan"])
+    @pytest.mark.parametrize("readings", [(), (0, 1), (0, 1, 1, 0)])
+    def test_reading_of_the_wrong_length_raises(self, det, readings):
+        table = pattern_table(heralded_state(), (A, C, D))
+        with pytest.raises(ModeMismatchError):
+            weigh(table, readings, det)
+
+
 def heralded_and_full_tables(make):
     """The device `make()` builds, and the pattern table of the same evolution
     without its floor."""
@@ -383,10 +423,11 @@ class TestHeraldedTable:
     def test_reweights_like_the_full_table(self, make, resolves):
         device, full = heralded_and_full_tables(make)
         assert kets(device.table) < kets(full)
+        ((readings, _),) = device.accepted
         for e in EFFICIENCIES:
             det = DetectorModel(e, resolves)
-            assert exact_outcome(*reweight(device.table, device.readings, det)) == (
-                exact_outcome(*reweight(full, device.readings, det))), e
+            assert exact_outcome(*reweight(device.table, readings, det)) == (
+                exact_outcome(*reweight(full, readings, det))), e
 
     def test_pol_table_work_count(self):
         spec, angle = NumberInputSpec.from_gamma(1.0), PolarizationAngle.from_bloch(1.1, 2.3)
@@ -514,6 +555,12 @@ class TestClosedFormFidelity:
             closed_form_fidelity(-1.0, 0.5)
         with pytest.raises(ValueError):
             closed_form_fidelity(1.0, 1.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        message = f"gamma must be finite and non-negative, got {gamma}"
+        with pytest.raises(ValueError, match=message):
+            closed_form_fidelity(gamma, 0.5)
 
     @pytest.mark.parametrize("gamma, eta2", [(3e307, 0.5), (3e307, 1.0), (1e308, 0.75)])
     def test_overflowing_term_raises(self, gamma, eta2):

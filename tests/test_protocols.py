@@ -14,7 +14,7 @@ from qndsim.detection import (
     pattern_table,
     reweight,
 )
-from qndsim.fock import Channel, FockState, MixedState, tensor
+from qndsim.fock import Channel, FockState, MixedState, ModeMismatchError, tensor
 from qndsim.optics import (
     BeamSplitterSpec,
     KerrGateSpec,
@@ -42,7 +42,9 @@ from qndsim.protocols import (
     teleport_pol_qnd,
 )
 from qndsim.fock import Mode
-from qndsim import protocols
+from qndsim import detection, protocols
+
+from test_detection import EFFICIENCIES
 
 DATA = Path(__file__).parent / "data"
 PURE_ONE = NumberInputSpec(0.0, 1.0, 0.0)
@@ -142,7 +144,7 @@ class TestEvolvedDevice:
     def test_nan_probability_raises(self):
         a, b = Channel("a"), Channel("b")
         device = protocols.EvolvedDevice(
-            identity_transform((a, b)), FockState.basis((a, b), (1, 1)), {a: 1},
+            identity_transform((a, b)), FockState.basis((a, b), (1, 1)), (a,), (((1,), None),),
             FockState.basis((b,), (1,)))
         # no finite input reaches a NaN mass, so the table is replaced by hand
         device.table = PatternTable((a,), (b,), {(1,): (math.nan, {(1,): 1.0})})
@@ -157,12 +159,27 @@ class TestEvolvedDevice:
             spec = NumberInputSpec.from_gamma(gamma)
             state = FockState(transform.channels, {
                 (0, 0, 1, 1): spec.c0, (1, 0, 1, 1): spec.c1, (2, 0, 1, 1): spec.c2})
-            device = protocols.EvolvedDevice(transform, state, {a: 0, c: 1, d: 1},
+            device = protocols.EvolvedDevice(transform, state, (a, c, d), (((0, 1, 1), None),),
                                              FockState.basis((b,), (1,)))
             for eta2 in (0.0, 0.5, 0.88, 1.0):
                 det = DetectorModel(eta2, resolves)
                 assert exact_protocol_outcome(device.outcome(det)) == (
                     exact_protocol_outcome(number_qnd(spec, 0.5, det))), (gamma, eta2)
+
+    def test_refuses_no_accepted_readings(self):
+        a, b = Channel("a"), Channel("b")
+        with pytest.raises(ValueError, match="at least one"):
+            protocols.EvolvedDevice(identity_transform((a, b)), FockState.basis((a, b), (1, 1)),
+                                    (a,), (), FockState.basis((b,), (1,)))
+
+    @pytest.mark.parametrize("readings", [(), (1,), (1, 0, 0)])
+    def test_refuses_readings_of_another_length(self, readings):
+        a, b, c = Channel("a"), Channel("b"), Channel("c")
+        state = FockState.basis((a, b, c), (1, 0, 1))
+        accepted = (((1, 0), None), (readings, None))
+        with pytest.raises(ModeMismatchError):
+            protocols.EvolvedDevice(identity_transform((a, b, c)), state, (a, b), accepted,
+                                    FockState.basis((c,), (1,)))
 
 
 def splitter_chain(transmission):
@@ -306,8 +323,14 @@ class TestPolFidelityApprox:
             pol_fidelity_approx(gamma, math.sqrt(eta2))
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma must be non-negative"):
+        with pytest.raises(ValueError, match="gamma must be finite and non-negative, got -0.1"):
             pol_fidelity_approx(-0.1, 0.9)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        message = f"gamma must be finite and non-negative, got {gamma}"
+        with pytest.raises(ValueError, match=message):
+            pol_fidelity_approx(gamma, 0.5)
 
     @pytest.mark.parametrize("eta", [-0.1, 1.1, math.nan])
     def test_eta_out_of_range_rejected(self, eta):
@@ -381,22 +404,34 @@ class TestTeleportPol:
         assert out.target.channels == Mode("p2", polarized=True).channels
 
 
-def teleport_by_reweight(input_amps, src, target_amps):
-    """Reference: the partial Bell analyzer as six `reweight` calls with ideal
-    detectors, one per accepted pattern."""
+def reference_outcome(prob, out, target):
+    """The outcome of a success probability and its unnormalized ensemble."""
+    if math.isnan(prob):
+        raise ValueError("success probability is NaN")
+    fid = TargetOverlaps(target).fidelity(out) if prob > 0.0 else 0.0
+    return protocols.ProtocolOutcome(prob, out, fid, target)
+
+
+def full_teleport_input(input_amps, src):
+    """The whole signal (x) pair-source product, without the two-photon filter."""
     signal = FockState(protocols._TS.channels, input_amps)
-    state = tensor(signal, pdc_state(src, (protocols._TP1, protocols._TP2)))
+    return tensor(signal, pdc_state(src, (protocols._TP1, protocols._TP2)))
+
+
+def teleport_by_reweight(input_amps, src, target_amps, det=IDEAL):
+    """Reference: the partial Bell analyzer as six `reweight` calls, one per
+    accepted pattern, on the full input evolved without a floor."""
+    state = full_teleport_input(input_amps, src)
     state = apply(beam_splitter(BeamSplitterSpec(0.5), protocols._TS, protocols._TP1), state)
     table = pattern_table(state, protocols._TS.channels + protocols._TP1.channels)
     total, branches = 0.0, []
     for pattern, correct in protocols._BELL_PATTERNS:
-        prob, out = reweight(table, pattern)
+        prob, out = reweight(table, pattern, det)
         total += prob
         for w, st in out.branches:
             branches.append((w, protocols._sigma_z(st, protocols._TP2_V) if correct else st))
     out = MixedState(tuple(branches))
-    target = FockState(protocols._TP2.channels, target_amps)
-    return protocols._outcome(total, out, TargetOverlaps(target))
+    return reference_outcome(total, out, FockState(protocols._TP2.channels, target_amps))
 
 
 def exact_protocol_outcome(outc):
@@ -422,7 +457,7 @@ def seeded_teleport_cases(count):
 
 
 class TestTeleportLookups:
-    """The analyzer reads its six ideal patterns straight from the table."""
+    """The ideal analyzer looks its six patterns up in the table."""
 
     @pytest.mark.parametrize("device", ["number", "pol"])
     def test_matches_six_reweight_calls_bit_for_bit(self, monkeypatch, device):
@@ -441,12 +476,35 @@ class TestTeleportLookups:
                 for spec, angle, src in cases]
             calls = cases
 
-        def no_reweight(*args):
-            raise AssertionError("teleport called reweight")
+        def no_povm_element(*args):
+            raise AssertionError("the ideal analyzer called povm_element")
 
-        monkeypatch.setattr(protocols, "reweight", no_reweight)
+        monkeypatch.setattr(detection, "povm_element", no_povm_element)
         for args, ref in zip(calls, expected):
             assert exact_protocol_outcome(run(*args)) == exact_protocol_outcome(ref), args
+
+
+class TestTeleportAtEveryEfficiency:
+    """Several accepted readings, some with a sigma_z, at any detector: the
+    device on the full teleport input equals six `reweight` calls."""
+
+    @pytest.mark.parametrize("resolves", [True, False], ids=["counting", "threshold"])
+    @pytest.mark.parametrize("device", ["number", "pol"])
+    def test_matches_six_reweight_calls_bit_for_bit(self, device, resolves):
+        for spec, angle, src in seeded_teleport_cases(6):
+            if device == "number":
+                amps = {(0, 0): spec.c0, (1, 0): spec.c1, (2, 0): spec.c2}
+                target = {(1, 0): 1.0}
+            else:
+                amps = protocols._pol_input_amplitudes(spec, angle)
+                target = {(1, 0): angle.alpha, (0, 1): angle.beta}
+            evolved = protocols.EvolvedDevice(
+                protocols._TELEPORT_BS, full_teleport_input(amps, src), protocols._BELL_DETECTED,
+                protocols._BELL_PATTERNS, FockState(protocols._TP2.channels, target))
+            for e in EFFICIENCIES:
+                det = DetectorModel(e, resolves)
+                assert exact_protocol_outcome(evolved.outcome(det)) == exact_protocol_outcome(
+                    teleport_by_reweight(amps, src, target, det)), (spec, angle, src, e)
 
 
 class TestTeleportSector:
@@ -535,7 +593,7 @@ def kerr_unheralded(input, tau, det):
     state = kerr_gate(KerrGateSpec(tau), K_W, K_S, state)
     state = apply(beam_splitter(half, K_P, K_W), state)
     prob, out = condition(state, {K_P: 1, K_W: 0}, det)
-    return protocols._outcome(prob, out, TargetOverlaps(FockState.basis((K_S,), (1,))))
+    return reference_outcome(prob, out, FockState.basis((K_S,), (1,)))
 
 
 class TestKerrHerald:

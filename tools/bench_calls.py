@@ -1,78 +1,90 @@
-"""Per-call cost of the five protocols, and of each heralding device's `apply`,
-in process, parent against change.
+"""Per-call cost of the five protocols, of two sweep rows and of each heralding
+device's `apply`, parent against change, alternated in one process.
 
     python3 tools/bench_calls.py --parent ../parent --change . [--out calls.json]
 
 Parameters are the ROADMAP Baseline's: gamma = 1, eta^2 = 0.88, theta =
-(1.1, 2.3), epsilon = 0.1, T = 1/2 and tau = pi.  Each round starts one child
-interpreter per checkout (with that checkout's `src/` on `sys.path`), the
-parent first in even-numbered rounds and the change first in odd-numbered
-ones; a child times 200 calls of each item after one warm-up call.  Each
-side's figure is its best of 5 rounds, in microseconds per call.  The
-`apply` items time `optics.apply` on the (transform, state, floor) that
-`number_qnd`, `pol_qnd` and `kerr_qnd` pass it for their heralded evolution,
-recorded from one protocol call.  A table goes to stdout; `--out` also writes
-the figures as JSON.  Standard library only.
+(1.1, 2.3), epsilon = 0.1, T = 1/2 and tau = pi.  Each checkout's
+`src/qndsim` is loaded under its own package name (`qndsim_parent`,
+`qndsim_change`), so both run in this interpreter with the same numpy.  In
+every round each item is timed for 300 calls on one side and then on the
+other, the parent first in even-numbered rounds and the change first in
+odd-numbered ones.  The sweep-row items time `outcome(det)` of a device built
+once, as `sweep` does per eta^2 row.  The `apply` items time `optics.apply` on
+the (transform, state, floor) that `number_qnd`, `pol_qnd` and `kerr_qnd`
+pass it for their heralded evolution, recorded from one protocol call.  For
+each item the table gives each side's best round, in microseconds per call,
+the median over rounds of the change/parent ratio, and the rounds the change
+won.  `--out` also writes every round's figures as JSON.  Standard library
+only, but for the checkouts' own numpy import.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import os
-import subprocess
+import math
+import statistics
 import sys
+import time
 from pathlib import Path
+from typing import Callable
 
-ROUNDS = 5
-CALLS = 200
+ROUNDS = 21
+CALLS = 300
 
-CHILD = """
-import json, math, sys, time
-from qndsim import optics, protocols
-from qndsim.detection import DetectorModel
-from qndsim.protocols import NumberInputSpec, PdcSourceSpec, PolarizationAngle
 
-spec = NumberInputSpec.from_gamma(1.0)
-angle = PolarizationAngle.from_bloch(1.1, 2.3)
-det = DetectorModel(0.88)
-src = PdcSourceSpec(0.1)
-items = {
-    "number_qnd": lambda: protocols.number_qnd(spec, 0.5, det),
-    "pol_qnd": lambda: protocols.pol_qnd(spec, angle, det),
-    "teleport_number_qnd": lambda: protocols.teleport_number_qnd(spec, src),
-    "teleport_pol_qnd": lambda: protocols.teleport_pol_qnd(spec, angle, src),
-    "kerr_qnd": lambda: protocols.kerr_qnd(spec, math.pi, det),
-}
-real = protocols.apply
-for name in ("number_qnd", "pol_qnd", "kerr_qnd"):
-    def record(t, state, floor=None, name=name):
-        if floor is not None:
-            items[name + " apply"] = lambda: optics.apply(t, state, floor)
-        return real(t, state, floor)
-    protocols.apply = record
-    items[name]()
-protocols.apply = real
-calls = int(sys.argv[1])
-out = {}
-for name, call in items.items():
-    call()
+def load(name: str, checkout: Path):
+    """The checkout's `src/qndsim` package, imported as `name`: its relative
+    imports resolve to `name.<module>`."""
+    root = checkout / "src" / "qndsim"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def items(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
+    """The timed calls of one checkout, by item."""
+    load(name, checkout)
+    optics, protocols = sys.modules[f"{name}.optics"], sys.modules[f"{name}.protocols"]
+    detection = sys.modules[f"{name}.detection"]
+    spec = protocols.NumberInputSpec.from_gamma(1.0)
+    angle = protocols.PolarizationAngle.from_bloch(1.1, 2.3)
+    det = detection.DetectorModel(0.88)
+    src = protocols.PdcSourceSpec(0.1)
+    number, pol = protocols.number_device(spec, 0.5), protocols.pol_device(spec, angle)
+    calls = {
+        "number_qnd": lambda: protocols.number_qnd(spec, 0.5, det),
+        "pol_qnd": lambda: protocols.pol_qnd(spec, angle, det),
+        "teleport_number_qnd": lambda: protocols.teleport_number_qnd(spec, src),
+        "teleport_pol_qnd": lambda: protocols.teleport_pol_qnd(spec, angle, src),
+        "kerr_qnd": lambda: protocols.kerr_qnd(spec, math.pi, det),
+        "number row": lambda: number.outcome(det),
+        "pol row": lambda: pol.outcome(det),
+    }
+    real = protocols.apply
+    for item in ("number_qnd", "pol_qnd", "kerr_qnd"):
+        def record(t, state, floor=None, item=item):
+            if floor is not None:
+                calls[item + " apply"] = lambda: optics.apply(t, state, floor)
+            return real(t, state, floor)
+        protocols.apply = record
+        calls[item]()
+    protocols.apply = real
+    for call in calls.values():
+        call()  # warm-up
+    return calls
+
+
+def per_call_us(call: Callable[[], object]) -> float:
     start = time.perf_counter()
-    for _ in range(calls):
+    for _ in range(CALLS):
         call()
-    out[name] = (time.perf_counter() - start) / calls * 1e6
-print(json.dumps(out))
-"""
-
-
-def child(checkout: Path) -> dict[str, float]:
-    """One child interpreter's microseconds per call, by item."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(CALLS)], cwd=checkout, env=env,
-                          capture_output=True, text=True, timeout=600)
-    if proc.returncode != 0:
-        raise RuntimeError(f"child in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout)
+    return (time.perf_counter() - start) / CALLS * 1e6
 
 
 def main() -> int:
@@ -82,22 +94,27 @@ def main() -> int:
     ap.add_argument("--out", type=Path, help="also write the figures to this JSON file")
     args = ap.parse_args()
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    best: dict[str, dict[str, float]] = {"parent": {}, "change": {}}
+    sides = {side: items(f"qndsim_{side}", getattr(args, side).resolve())
+             for side in ("parent", "change")}
+    # only items both checkouts have are compared
+    names = [name for name in sides["change"] if name in sides["parent"]]
+    runs: dict[str, dict[str, list[float]]] = {side: {n: [] for n in names} for side in sides}
     for i in range(ROUNDS):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            for name, us in child(sides[side]).items():
-                best[side][name] = min(us, best[side].get(name, us))
-    names = list(best["change"])
-    print(f"{'item':<22} {'parent us':>10} {'change us':>10} {'ratio':>7}")
+        for name in names:
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side][name].append(per_call_us(sides[side][name]))
+    report = {}
+    print(f"{'item':<22} {'parent us':>10} {'change us':>10} {'ratio':>7} {'wins':>6}")
     for name in names:
-        p, c = best["parent"].get(name), best["change"][name]
-        ratio = f"{c / p:7.3f}" if p else f"{'-':>7}"
-        print(f"{name:<22} {p if p is not None else float('nan'):10.1f} {c:10.1f} {ratio}")
+        p, c = runs["parent"][name], runs["change"][name]
+        ratio = statistics.median(cr / pr for cr, pr in zip(c, p))
+        wins = sum(cr < pr for cr, pr in zip(c, p))
+        report[name] = {"parent_best": min(p), "change_best": min(c), "median_ratio": ratio,
+                        "change_wins": wins, "parent": p, "change": c}
+        print(f"{name:<22} {min(p):10.1f} {min(c):10.1f} {ratio:7.3f} {wins:>3}/{ROUNDS}")
     if args.out:
-        report = {"rounds": ROUNDS, "calls": CALLS, "unit": "us per call, best of rounds",
-                  **{side: best[side] for side in sides}}
-        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        args.out.write_text(json.dumps({"rounds": ROUNDS, "calls": CALLS,
+                                        "unit": "us per call", "items": report}, indent=1) + "\n")
     return 0
 
 
