@@ -71,10 +71,10 @@ class PatternTable:
     Holds each pattern's mass and its amplitudes on the kept channels, and no
     detector model: `weigh` applies one.  A pattern's normalized branch state
     is built the first time a detector gives it a non-zero POVM factor and is
-    then reused.  A heralding device's table holds only patterns that meet
-    its success readings, so at 0 < eta^2 < 1 nearly every pattern gets a
-    factor; the laziness pays at eta^2 = 1, where only the pattern equal to
-    the readings does, and for `condition` calls on unfloored states.
+    then reused.  Every pattern of a device's table meets its success
+    readings, so at 0 < eta^2 < 1 nearly all get one; building lazily pays
+    at eta^2 = 1, where only the pattern equal to the readings does, and for
+    `condition` calls on unfloored states.
     """
 
     __slots__ = ("detected", "kept", "patterns", "top", "_branches")
@@ -151,10 +151,9 @@ def weigh(table: PatternTable, readings: tuple[int, ...],
     if det.efficiency == 1.0 and det.resolves_photon_number:
         # an ideal counter's only non-zero coefficient is exactly 1.0, at the
         # pattern equal to the readings, so look that pattern up
-        entry = table.patterns.get(readings)
-        if entry is not None:
+        if (entry := table.patterns.get(readings)) is not None:
             return [(entry[0], table.branch(readings))]
-        if min(readings, default=0) < 0:  # a pattern holds none
+        if min(readings, default=0) < 0:  # no pattern holds a negative count
             raise ValueError("reading must be non-negative")
         return []
     # tabulated up to every occupation and every reading, once per distinct

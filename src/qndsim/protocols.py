@@ -169,9 +169,7 @@ class EvolvedDevice:
     readings is `apply`'s floor: it forms only the partial monomials that
     can still herald, deciding once per parent which children keep that
     possible, and returns the full output restricted to the kets that meet
-    it, bit for bit.  For gamma = 1 and theta = (1.1, 2.3), the `pol` build
-    visits 930 (monomial, column entry) pairs, where the photon count alone
-    visited 2774 and 857 lead to a heralding ket; `number` visits 46 of 80.
+    it, bit for bit (README, "Heralded evolution", gives the work saved).
     Linear-optical evolution does not depend on the detector efficiency, so
     the evolved state is tabulated once by detected pattern and `outcome`
     only applies a detector model: a sweep over efficiencies evolves once,
@@ -431,9 +429,8 @@ def _teleport(input_amps: dict[tuple[int, int], complex], src: PdcSourceSpec,
         for occ_p, amp_p in pair.amplitudes.items()
         if sum(occ_s) + occ_p[0] + occ_p[1] == 2
     }
-    target = FockState(_TP2.channels, target_amps)
     return EvolvedDevice(_TELEPORT_BS, FockState(_TELEPORT_CHANNELS, amps), _BELL_DETECTED,
-                         _BELL_PATTERNS, target).outcome()
+                         _BELL_PATTERNS, FockState(_TP2.channels, target_amps)).outcome()
 
 
 def teleport_number_qnd(input: NumberInputSpec, src: PdcSourceSpec) -> ProtocolOutcome:
