@@ -151,8 +151,9 @@ def weigh(table: PatternTable, readings: tuple[int, ...],
     if det.efficiency == 1.0 and det.resolves_photon_number:
         # an ideal counter's only non-zero coefficient is exactly 1.0, at the
         # pattern equal to the readings, so look that pattern up
-        if (entry := table.patterns.get(readings)) is not None:
-            return [(entry[0], table.branch(readings))]
+        pattern = tuple(readings)  # a list of readings cannot key a dict
+        if (entry := table.patterns.get(pattern)) is not None:
+            return [(entry[0], table.branch(pattern))]
         if min(readings, default=0) < 0:  # no pattern holds a negative count
             raise ValueError("reading must be non-negative")
         return []

@@ -167,13 +167,12 @@ class EvolvedDevice:
     A reading of k photons needs k photons that the network can route to
     that detector (U[c, j] != 0), so the per-channel minimum of the accepted
     readings is `apply`'s floor: it forms only the partial monomials that
-    can still herald, deciding once per parent which children keep that
-    possible, and returns the full output restricted to the kets that meet
-    it, bit for bit (README, "Heralded evolution", gives the work saved).
-    Linear-optical evolution does not depend on the detector efficiency, so
-    the evolved state is tabulated once by detected pattern and `outcome`
-    only applies a detector model: a sweep over efficiencies evolves once,
-    and each branch's overlap with `target` is computed once.
+    can still herald and returns the full output restricted to the kets that
+    meet it, bit for bit.  Linear-optical evolution does not depend on the
+    detector efficiency, so the evolved state is tabulated once by detected
+    pattern and `outcome` only applies a detector model: a sweep over
+    efficiencies evolves once, and each branch's overlap with `target` is
+    computed once (a sigma_z-flipped branch is built once, for that).
     """
 
     __slots__ = ("table", "accepted", "_overlaps", "_flipped")
@@ -421,8 +420,8 @@ def _teleport(input_amps: dict[tuple[int, int], complex], src: PdcSourceSpec,
     signal = FockState(_TS.channels, input_amps)
     pair = pdc_state(src, (_TP1, _TP2))
     # the splitter keeps the photon number of (in, p1) and every Bell pattern
-    # holds two photons there, so only the input kets with two photons on
-    # (in, p1) can herald: expand the tensor product's two-photon sector alone
+    # holds two photons there, so at the ideal analyzer only the input kets
+    # with two photons on (in, p1) can herald: expand that sector alone
     amps = {
         occ_s + occ_p: amp_s * amp_p
         for occ_s, amp_s in signal.amplitudes.items()

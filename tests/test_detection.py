@@ -360,6 +360,7 @@ class TestWeighLookup:
         for pattern, (mass, _) in table.patterns.items():
             ((w, st),) = weigh(table, pattern)
             assert w == mass and st is table.branch(pattern)
+            assert weigh(table, list(pattern)) == [(w, st)]
             assert exact_outcome(*reweight(table, pattern)) == exact_outcome(
                 *full_scan_reweight(table, pattern)), pattern
 

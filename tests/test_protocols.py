@@ -507,6 +507,20 @@ class TestTeleportAtEveryEfficiency:
                     teleport_by_reweight(amps, src, target, det)), (spec, angle, src, e)
 
 
+    def test_branches_are_reused_across_outcomes(self):
+        spec, angle, src = next(seeded_teleport_cases(1))
+        amps = protocols._pol_input_amplitudes(spec, angle)
+        evolved = protocols.EvolvedDevice(
+            protocols._TELEPORT_BS, full_teleport_input(amps, src), protocols._BELL_DETECTED,
+            protocols._BELL_PATTERNS, FockState(protocols._TP2.channels, {(1, 0): 1.0}))
+        for det in (IDEAL, DetectorModel(0.5)):
+            first, again = evolved.outcome(det), evolved.outcome(det)
+            branches = [st for _, st in first.conditional_output.branches]
+            assert len(branches) > 2  # flipped branches among them
+            assert all(st is st2 for st, (_, st2) in zip(
+                branches, again.conditional_output.branches))
+
+
 class TestTeleportSector:
     """Only the input kets with two photons on (in, p1) can herald."""
 
