@@ -215,13 +215,14 @@ def run(protocol, input_text, gamma, eta2, transmission, theta, tau, epsilon,
     else:  # kerr
         outc = protocols.kerr_qnd(spec, tau, det)
 
+    branches = outc.conditional_output.branches
     lines = [
         f"protocol {protocol}",
         f"success_probability {_fmt(outc.success_probability)}",
         f"fidelity {_fmt(outc.fidelity)}",
-        f"branches {len(outc.conditional_output.branches)}",
+        f"branches {len(branches)}",
     ]
-    for i, (w, st) in enumerate(outc.conditional_output.branches):
+    for i, (w, st) in enumerate(branches):
         kets = " ".join(
             f"|{','.join(map(str, occ))}>:{_fmt_complex(a)}"
             for occ, a in sorted(st.amplitudes.items())

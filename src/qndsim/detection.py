@@ -69,15 +69,11 @@ class PatternTable:
     """An evolved state's support bucketed by detected-channel pattern.
 
     Holds each pattern's mass and its amplitudes on the kept channels, and no
-    detector model: `weigh` applies one.  A pattern's normalized branch state
-    is built the first time a detector gives it a non-zero POVM factor and is
-    then reused.  Every pattern of a device's table meets its success
-    readings, so at 0 < eta^2 < 1 nearly all get one; building lazily pays
-    at eta^2 = 1, where only the pattern equal to the readings does, and for
-    `condition` calls on unfloored states.
+    detector model: `weigh` applies one.  `branch` builds a pattern's
+    normalized state on each call; a device keeps the branches it reads out.
     """
 
-    __slots__ = ("detected", "kept", "patterns", "top", "_branches")
+    __slots__ = ("detected", "kept", "patterns", "top")
 
     def __init__(
         self,
@@ -90,15 +86,10 @@ class PatternTable:
         self.patterns = patterns  # pattern -> (mass, kept-channel amplitudes)
         # highest detected occupation, so POVM tables cover every pattern
         self.top = max((n for pattern in patterns for n in pattern), default=0)
-        self._branches: dict[tuple[int, ...], FockState] = {}
 
     def branch(self, pattern: tuple[int, ...]) -> FockState:
         """Normalized kept-channel state of one pattern."""
-        st = self._branches.get(pattern)
-        if st is None:
-            _, amps = self.patterns[pattern]
-            st = self._branches[pattern] = FockState(self.kept, amps).normalized()
-        return st
+        return FockState(self.kept, self.patterns[pattern][1]).normalized()
 
 
 def _picker(idx: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -138,13 +129,14 @@ def pattern_table(
 
 
 def weigh(table: PatternTable, readings: tuple[int, ...],
-          det: DetectorModel = IDEAL) -> list[tuple[float, FockState]]:
-    """(weight, branch) pairs of one set of readings on a pattern table.
+          det: DetectorModel = IDEAL) -> list[tuple[float, tuple[int, ...]]]:
+    """(weight, pattern) pairs of one set of readings on a pattern table.
 
     `readings` lists one reading per detected channel, in `table.detected`
     order, and `det` models every detector.  Each pattern is weighted by the
     product of its POVM coefficients times its mass, in table order; a zero
-    coefficient or an underflowed product drops the pattern.
+    coefficient or an underflowed product drops the pattern.  No state is
+    built.
     """
     if len(readings) != len(table.detected):
         raise ModeMismatchError(f"{len(readings)} readings for detected channels {table.detected}")
@@ -153,7 +145,7 @@ def weigh(table: PatternTable, readings: tuple[int, ...],
         # pattern equal to the readings, so look that pattern up
         pattern = tuple(readings)  # a list of readings cannot key a dict
         if (entry := table.patterns.get(pattern)) is not None:
-            return [(entry[0], table.branch(pattern))]
+            return [(entry[0], pattern)]
         if min(readings, default=0) < 0:  # no pattern holds a negative count
             raise ValueError("reading must be non-negative")
         return []
@@ -162,11 +154,11 @@ def weigh(table: PatternTable, readings: tuple[int, ...],
     top = max((table.top, *readings))
     rows = {k: povm_element(k, det, top) for k in dict.fromkeys(readings)}
     coeffs = [rows[k] for k in readings]
-    pairs: list[tuple[float, FockState]] = []
+    pairs: list[tuple[float, tuple[int, ...]]] = []
     for pattern, (mass, _) in table.patterns.items():
         povm_factor = math.prod(map(tuple.__getitem__, coeffs, pattern))
         if povm_factor != 0.0:
-            pairs.append((povm_factor * mass, table.branch(pattern)))
+            pairs.append((povm_factor * mass, pattern))
     return pairs
 
 
@@ -175,7 +167,8 @@ def reweight(table: PatternTable, readings: tuple[int, ...],
     """(probability, unnormalized conditional ensemble on the kept channels)
     of `weigh`'s pairs; the branch weights sum to the probability."""
     pairs = weigh(table, readings, det)
-    return nonnegative_fsum(w for w, _ in pairs), MixedState(tuple(pairs))
+    return (nonnegative_fsum(w for w, _ in pairs),
+            MixedState(tuple((w, table.branch(p)) for w, p in pairs)))
 
 
 def condition(
@@ -191,48 +184,15 @@ def condition(
     return reweight(pattern_table(state, readings), tuple(readings.values()), det)
 
 
-class TargetOverlaps:
-    """A target state with its overlaps |<target|branch>|^2, each computed once
-    per branch state.
-
-    `PatternTable` memoizes its branch states, so an evolved device reweighted
-    at many efficiencies meets the same few branches on every row.
-    """
-
-    __slots__ = ("target", "_overlaps")
-
-    def __init__(self, target: FockState):
-        self.target = target
-        self._overlaps: dict[FockState, float] = {}  # keyed by identity
-
-    def fidelity(self, rho: MixedState) -> float:
-        """Tr[rho |target><target|] / Tr[rho]: the fidelity of `rho`
-        renormalized by its own weight.  Raises ValueError where that weight
-        is not positive and finite."""
-        total = rho.total_weight()
-        if total == math.inf:
-            raise ValueError("fidelity undefined: the ensemble's weight overflows a float")
-        if not total > 0.0:  # also rejects NaN
-            raise ValueError("fidelity of a zero-weight ensemble is undefined")
-        target = self.target
-        if rho.channels != target.channels:
-            raise ModeMismatchError("ensemble and target live on different channels")
-        overlaps = self._overlaps
-        terms = []
-        for w, st in rho.branches:
-            overlap = overlaps.get(st)
-            if overlap is None:
-                overlap = overlaps[st] = abs(inner_product(target, st)) ** 2
-            terms.append(w / total * overlap)
-        return math.fsum(terms)
-
-
 def fidelity(rho: MixedState, target: FockState) -> float:
-    """Tr[rho |target><target|] for a unit-weight ensemble."""
-    norm = rho.total_weight()
-    if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN
-        raise ValueError(f"ensemble weight {norm} != 1; renormalize before computing fidelity")
-    return TargetOverlaps(target).fidelity(rho)
+    """Tr[rho |target><target|] for a unit-weight ensemble, each weight
+    divided by the ensemble's `fsum` of weights."""
+    total = rho.total_weight()
+    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
+        raise ValueError(f"ensemble weight {total} != 1; renormalize before computing fidelity")
+    if rho.channels != target.channels:
+        raise ModeMismatchError("ensemble and target live on different channels")
+    return math.fsum([w / total * abs(inner_product(target, st)) ** 2 for w, st in rho.branches])
 
 
 def closed_form_fidelity(gamma: float, eta: float) -> float:

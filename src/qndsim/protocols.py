@@ -21,8 +21,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .detection import IDEAL, DetectorModel, TargetOverlaps, pattern_table, weigh
-from .fock import Channel, FockState, MixedState, Mode, ModeMismatchError, nonnegative_fsum
+from .detection import IDEAL, DetectorModel, pattern_table, weigh
+from .fock import (
+    Channel,
+    FockState,
+    MixedState,
+    Mode,
+    ModeMismatchError,
+    inner_product,
+    nonnegative_fsum,
+)
 from .optics import (
     BeamSplitterSpec,
     ModeTransform,
@@ -151,10 +159,19 @@ class KerrStrengthParams:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
+    """A heralded output: success probability, fidelity with `target`, and
+    the (weight, branch) pairs it was read from."""
+
     success_probability: float
-    conditional_output: MixedState  # unnormalized; weights sum to success prob
     fidelity: float
     target: FockState
+    branches: tuple[tuple[float, FockState], ...]  # (weight, branch), unnormalized
+
+    @property
+    def conditional_output(self) -> MixedState:
+        """The branches as an ensemble, built on access: a sweep row reads
+        none.  Its weights sum to the success probability."""
+        return MixedState(self.branches)
 
 
 class EvolvedDevice:
@@ -162,7 +179,7 @@ class EvolvedDevice:
     evolves `state` and the `detected` channels are read out.  Each entry of
     `accepted` is a set of readings, in `detected` order, that heralds
     success, and the channel whose odd photon numbers a sigma_z feed-forward
-    then flips, or None.
+    then flips, or None.  `target` lives on the kept channels.
 
     A reading of k photons needs k photons that the network can route to
     that detector (U[c, j] != 0), so the per-channel minimum of the accepted
@@ -171,11 +188,12 @@ class EvolvedDevice:
     meet it, bit for bit.  Linear-optical evolution does not depend on the
     detector efficiency, so the evolved state is tabulated once by detected
     pattern and `outcome` only applies a detector model: a sweep over
-    efficiencies evolves once, and each branch's overlap with `target` is
-    computed once (a sigma_z-flipped branch is built once, for that).
+    efficiencies evolves once.  Per accepted reading, a memo keeps each
+    pattern's branch, after any sigma_z flip, and its |<target|branch>|^2,
+    built the first time a detector weighs that pattern.
     """
 
-    __slots__ = ("table", "accepted", "_overlaps", "_flipped")
+    __slots__ = ("table", "accepted", "target", "_memos")
 
     def __init__(self, transform: ModeTransform, state: FockState, detected: tuple[Channel, ...],
                  accepted: tuple[tuple[tuple[int, ...], Channel | None], ...], target: FockState):
@@ -187,31 +205,40 @@ class EvolvedDevice:
         lowest = [*map(min, zip(*readings))]
         floor = dict(zip(detected, lowest)) if any(lowest) else None
         self.table = pattern_table(apply(transform, state, floor), detected)
+        if target.channels != self.table.kept:
+            raise ModeMismatchError(
+                f"target on {target.channels}, not on the kept channels {self.table.kept}")
         self.accepted = accepted
-        self._overlaps = TargetOverlaps(target)
-        self._flipped: dict[tuple[FockState, Channel], FockState] = {}  # sigma_z images
+        self.target = target
+        self._memos: list[dict[tuple[int, ...], tuple[FockState, float]]] = [
+            {} for _ in accepted]
 
     def outcome(self, det: DetectorModel = IDEAL) -> ProtocolOutcome:
-        """The accepted readings' probabilities, added in turn, and ensemble."""
+        """The accepted readings' probabilities, added in turn, and the
+        fidelity of the branches renormalized by the `fsum` of their weights."""
         table, prob = self.table, 0.0
         branches: list[tuple[float, FockState]] = []
-        for readings, flip in self.accepted:
+        overlaps: list[float] = []
+        for (readings, flip), memo in zip(self.accepted, self._memos):
             pairs = weigh(table, readings, det)
             prob += nonnegative_fsum(w for w, _ in pairs)
-            if flip is not None:
-                pairs = [(w, self._flip(st, flip)) for w, st in pairs]
-            branches += pairs
+            for w, pattern in pairs:
+                if (entry := memo.get(pattern)) is None:
+                    st = table.branch(pattern)
+                    if flip is not None:
+                        st = _sigma_z(st, flip)
+                    entry = memo[pattern] = st, abs(inner_product(self.target, st)) ** 2
+                branches.append((w, entry[0]))
+                overlaps.append(entry[1])
         if math.isnan(prob):
             raise ValueError("success probability is NaN")
-        out = MixedState(tuple(branches))
-        fid = self._overlaps.fidelity(out) if prob > 0.0 else 0.0
-        return ProtocolOutcome(prob, out, fid, self._overlaps.target)
-
-    def _flip(self, branch: FockState, channel: Channel) -> FockState:
-        st = self._flipped.get((branch, channel))
-        if st is None:
-            st = self._flipped[branch, channel] = _sigma_z(branch, channel)
-        return st
+        fid = 0.0
+        if prob > 0.0:
+            total = nonnegative_fsum(w for w, _ in branches)
+            if total == math.inf:
+                raise ValueError("fidelity undefined: the ensemble's weight overflows a float")
+            fid = math.fsum([w / total * overlap for (w, _), overlap in zip(branches, overlaps)])
+        return ProtocolOutcome(prob, fid, self.target, tuple(branches))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ from qndsim.detection import (
     IDEAL,
     DetectorModel,
     PatternTable,
-    TargetOverlaps,
     condition,
     pattern_table,
     reweight,
 )
-from qndsim.fock import Channel, FockState, MixedState, ModeMismatchError, tensor
+from qndsim.fock import Channel, FockState, MixedState, ModeMismatchError, inner_product, tensor
 from qndsim.optics import (
     BeamSplitterSpec,
     KerrGateSpec,
@@ -180,6 +179,38 @@ class TestEvolvedDevice:
         with pytest.raises(ModeMismatchError):
             protocols.EvolvedDevice(identity_transform((a, b, c)), state, (a, b), accepted,
                                     FockState.basis((c,), (1,)))
+
+    def test_refuses_a_target_off_the_kept_channels(self):
+        a, b = Channel("a"), Channel("b")
+        with pytest.raises(ModeMismatchError, match="not on the kept channels"):
+            protocols.EvolvedDevice(identity_transform((a, b)), FockState.basis((a, b), (1, 1)),
+                                    (a,), (((1,), None),), FockState.basis((a,), (1,)))
+
+    def test_renormalizes_by_its_own_weight_bit_for_bit(self):
+        a, b, c, d = map(Channel, "abcd")
+        state = FockState((a, b, c, d), {(0, 0, 1, 1): 0.3, (1, 0, 1, 1): 0.8,
+                                         (2, 0, 1, 1): math.sqrt(1 - 0.09 - 0.64)})
+        probe = FockState((b,), {(0,): 0.6, (1,): 0.8j})
+        device = protocols.EvolvedDevice(number_device_transform(0.5), state, (a, c, d),
+                                         (((0, 1, 0), None),), probe)
+        for e in (0.35, 0.88):
+            outc = device.outcome(DetectorModel(e))
+            assert len(outc.branches) > 1
+            expected = math.fsum((w / outc.success_probability) * abs(inner_product(probe, st)) ** 2
+                                 for w, st in outc.branches)
+            assert outc.fidelity.hex() == expected.hex()
+
+    def test_overflowing_weight_rejected(self):
+        a, b = Channel("a"), Channel("b")
+        device = protocols.EvolvedDevice(
+            identity_transform((a, b)), FockState.basis((a, b), (1, 1)), (a,),
+            (((1,), None), ((2,), None)), FockState.basis((b,), (1,)))
+        # each mass fits a float and their sum does not; no finite input
+        # reaches such masses, so the table is replaced by hand
+        device.table = PatternTable((a,), (b,), {(1,): (1e308, {(1,): 1.0}),
+                                                 (2,): (1e308, {(1,): 1.0})})
+        with pytest.raises(ValueError, match="weight overflows a float"):
+            device.outcome()
 
 
 def splitter_chain(transmission):
@@ -408,8 +439,12 @@ def reference_outcome(prob, out, target):
     """The outcome of a success probability and its unnormalized ensemble."""
     if math.isnan(prob):
         raise ValueError("success probability is NaN")
-    fid = TargetOverlaps(target).fidelity(out) if prob > 0.0 else 0.0
-    return protocols.ProtocolOutcome(prob, out, fid, target)
+    fid = 0.0
+    if prob > 0.0:  # renormalized by the ensemble's own weight
+        total = out.total_weight()
+        fid = math.fsum([w / total * abs(inner_product(target, st)) ** 2
+                         for w, st in out.branches])
+    return protocols.ProtocolOutcome(prob, fid, target, out.branches)
 
 
 def full_teleport_input(input_amps, src):

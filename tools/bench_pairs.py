@@ -17,7 +17,9 @@ lists the runs that are not `correct`; one stderr line repeats it.  Each
 workload also gets one `perfbench/run.py --trace 1` run per checkout on the
 first seed: traced runs replay fixed decks, so their counts repeat for a seed,
 and the output records both sides' per-layer values and the count metrics
-whose values differ.  It also records both commits, their `src/` line counts
+whose values differ.  It also records both commits (null, with a warning
+on stderr, for a checkout that is not a git work tree), a sha256 of each
+checkout's `src/**/*.py`, their `src/` line counts
 (`src_lines` in total, `src_module_lines` per file under `src/`), the CPU
 model, and numpy's BLAS build and run-time kernel: the circuit-evolve digest
 depends on the kernel.  Runs last `run_seconds` from the change's
@@ -29,6 +31,7 @@ queried in a child interpreter.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -61,9 +64,24 @@ def seeds_arg(text: str) -> list[int]:
 
 
 def commit(checkout: Path) -> str | None:
+    """The checkout's HEAD, or None with a warning where it is not a git work
+    tree (as a `git archive` export is not)."""
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    if proc.returncode != 0 or not proc.stdout.strip():
+        print(f"warning: {checkout} is not a git work tree; its commit is recorded as null",
+              file=sys.stderr, flush=True)
+        return None
+    return proc.stdout.strip()
+
+
+def src_sha256(checkout: Path) -> str:
+    """sha256 over the path and bytes of each `*.py` file under `src/`, in
+    path order."""
+    src, digest = checkout / "src", hashlib.sha256()
+    for f in sorted(src.rglob("*.py")):
+        digest.update(f.relative_to(src).as_posix().encode() + b"\0" + f.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def module_lines(checkout: Path) -> dict[str, int]:
@@ -201,6 +219,8 @@ def main() -> int:
         "command": "perfbench/run.py --trace 0",
         "parent_commit": commit(parent),
         "change_commit": commit(change),
+        "parent_src_sha256": src_sha256(parent),
+        "change_src_sha256": src_sha256(change),
         "src_lines": {side: sum(per_file.values()) for side, per_file in lines.items()},
         "src_module_lines": lines,
         "workloads": {},
