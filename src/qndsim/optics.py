@@ -230,28 +230,6 @@ def _factorials_overflow(occ: tuple[int, ...]) -> str:
     return f"ket {occ}: its normalization sqrt(prod n!) overflows a float"
 
 
-def _routable(column: list, watch: tuple, owed: int, left: int, base: int, top: int) -> list:
-    """The entries of `column` whose child a kept parent may form, at a step
-    that leaves `left` photons to place.  `owed` codes the photons the
-    parent lacks, digit by floored channel, plus their number times `top`;
-    `watch` holds (stride, later photons reaching it) for each floored
-    channel whose limit this step can break.  None if two such channels
-    would be left short, only the entries onto the one that would, only
-    those onto a lacking channel if the total lack exceeds `left`, else all.
-    """
-    short = 0
-    for at, later in watch:
-        if owed // at % base > later:
-            if short:
-                return []
-            short = at
-    if short:
-        return [e for e in column if e[0] == short]
-    if owed // top > left:
-        return [e for e in column if owed // e[0] % base]
-    return column
-
-
 def apply(
     t: ModeTransform, state: FockState, floor: Mapping[Channel, int] | None = None
 ) -> FockState:
@@ -264,24 +242,16 @@ def apply(
 
     `floor`, if given, maps channels to the fewest photons (a non-negative
     int) an output ket must hold there; the result is the full output
-    restricted to the kets that meet it (heralded evolution).  The photon of
-    input channel j can land on channel c only if U[c, j] != 0.  So, after
-    each photon, a partial monomial is kept only if its total lack
-    sum_c max(0, k_c - m_c) is at most the photons still to place and, for
-    each floored channel c, its lack there is at most the photons still to
-    place whose column reaches c.  A kept parent exceeds these limits by at
-    most one photon, so the rule is decided once per parent and step,
-    memoized by the parent's lack and the step: all of its children are
-    kept, or only those that add a photon to the one channel a limit names
-    (or, for the total, to any lacking channel), or none.  Where every
-    column that misses a floored channel has a single non-zero entry, the
-    photons placed after a channel's last reaching photon do not branch, so
-    the per-ket scan that finds where those limits bind would cost more than
-    it saves, and only the total limit is applied; otherwise a ket too few of
-    whose photons reach some floored channel is skipped.  Only monomials
-    with no descendant that meets the floor are dropped, and every parent of
-    a kept monomial is kept, so the kept amplitudes are the same sums, in the
-    same order, bit for bit.
+    restricted to the kets that meet it (heralded evolution).  A partial
+    monomial lacks sum_c max(0, k_c - m_c) B^c of the floor.  The photon of
+    input channel j lands on a channel c with U[c, j] != 0, and lowers the
+    lack there by one or lands where nothing is lacking.  So, from the last
+    photon of a ket back, the lacks the photons still to place can fill form
+    a set, and a monomial is kept only if its lack is in the set of the
+    photons after it (a ket whose empty monomial's is not, is skipped).
+    Exactly the monomials with no descendant that meets the floor are
+    dropped, and every parent of a kept monomial is kept, so the kept
+    amplitudes are the same sums, in the same order, bit for bit.
 
     Cancellation residues are dropped here (see `_RESIDUE`), and a NaN or
     infinite output amplitude raises `ValueError`, so the result meets
@@ -301,9 +271,8 @@ def apply(
     # column j of the matrix, as (stride of channel i, U[i, j]) for U[i, j] != 0
     columns = [[(s, cij) for s, cij in zip(strides, col) if cij != 0] for col in cols]
     need = []  # (stride, fewest photons) per channel with a positive floor
-    scan = False  # whether a column with two or more entries misses a floored channel
+    hits = [()] * len(cols)  # per column, those of `need` whose channel it reaches
     if floor:
-        reach = [[] for _ in cols]  # per column, (index in `need`, stride, k) of those it reaches
         for c, k in zip(as_channels(floor), floor.values()):
             try:
                 i = state.channels.index(c)
@@ -316,86 +285,81 @@ def apply(
             if k < 0:
                 raise ValueError(f"negative floor {k} on {c}")
             if k:
-                for hits, col, column in zip(reach, cols, columns):
-                    if col[i]:
-                        hits.append((len(need), strides[i], k))
-                    elif len(column) > 1:
-                        scan = True
                 need.append((strides[i], k))
-    total = sum(k for _, k in need)
-    top = base ** len(state.channels)  # the digit of a lack code that counts the lack
-    owes: dict[int, int] = {}  # code -> lack code, once per code
-    kept: dict[tuple, dict[int, list]] = {}  # step -> lack code -> column entries open
-    watches: dict[int, tuple] = {}  # photons left -> limits the photon can break
+                for j, col in enumerate(cols):
+                    if col[i]:
+                        hits[j] += ((strides[i], k),)
+    if need:
+        floored, box = 0, 1  # the empty monomial's lack; the number of possible lacks
+        for s, k in need:
+            if k >= base:  # no ket holds k photons; a lack digit stays below B
+                return FockState._trusted(state.channels, {})
+            floored += s * k
+            box *= k + 1
+        nothing = frozenset((0,))  # the lacks that no photon fills
+        memo: dict[tuple, tuple] = {}  # (column, lacks after) -> (lacks before, lack -> entries)
+        lacks: dict[int, int] = {}  # code -> its lack, once per code
+    checks: dict[int, tuple] = {}  # photons left -> (lacks they fill, lack -> entries)
 
     factorial = [math.factorial(n) for n in range(base)]
     acc: dict[int, complex] = {}  # output code -> amplitude
     scales: dict[int, float] = {}  # output code -> sqrt(prod m!), once per code
     feeds = []  # (|amp|^2, codes it fed) per input ket, for the residue test
     for occ, amp in state.amplitudes.items():
-        left = sum(occ)  # photons still to place
-        if left < total:
-            continue  # no ket of this photon number meets the floor
-        start = total  # parents are checked where `left` falls below this
-        if scan:
-            # from the last photon back, watches[n] holds, for the photon that
-            # leaves n to place, the (stride, later photons reaching it) of
-            # each floored channel it reaches that fewer than k and fewer than
-            # n later photons reach (where all n do, the total limit covers it)
-            watches = {}
-            after = [0] * len(need)  # later photons that reach each floored channel
-            unmet = len(need)  # floored channels with after < k
-            n = 0
+        if need:
+            # from the last photon back, `fill` holds the lacks the photons
+            # after this one can fill; a step whose children may leave the
+            # floor out of reach keeps only those whose lack is in it
+            checks = {}
+            fill, left = nothing, 0
             for j in range(len(occ) - 1, -1, -1):
-                hits = reach[j]
+                column, reach = columns[j], hits[j]
+                if not reach:
+                    left += occ[j]
+                    continue
                 for _ in range(occ[j]):
-                    watch = ()
-                    for f, at, k in hits:
-                        a = after[f]
-                        if a < k:
-                            if a < n:
-                                watch += ((at, a),)
-                            after[f] = a + 1
-                            unmet -= a + 1 == k
-                    if watch:
-                        watches[n] = watch
-                        start = max(start, n + 1)
-                    n += 1
-                if not unmet:
-                    break
-            else:
-                continue  # too few of its photons reach some floored channel
+                    if len(fill) < box:
+                        step = memo.get((j, fill))
+                        if step is None:
+                            # before the photon: the lacks after it, and those
+                            # with one more on a channel it reaches
+                            step = memo[j, fill] = (fill.union(
+                                lack + s for lack in fill for s, k in reach
+                                if lack // s % base < k), {})
+                        if len(column) > 1:
+                            checks[left] = (fill, step[1])
+                        fill = step[0]
+                    left += 1
+            if floored not in fill:
+                continue  # its photons cannot meet the floor
         # start from amp / sqrt(prod occ!) and multiply one linear form per photon
         try:
             poly = {0: amp / math.sqrt(math.prod(map(factorial.__getitem__, occ)))}
         except OverflowError:
             raise ValueError(_factorials_overflow(occ)) from None
+        left = sum(occ)  # photons still to place
         for n, column in zip(occ, columns):
             for _ in range(n):
                 new_poly: dict[int, complex] = {}
                 get = new_poly.get
                 left -= 1
-                if left < start and (left < total or left in watches):
-                    # a child may leave the floor out of reach
-                    watch = watches.get(left, ())
-                    # the step's decisions depend on the limits it can break,
-                    # on `left` below `total` and on its column (by identity)
-                    step = (left if left < total else total, id(column), watch)
-                    open_ = kept.get(step)
-                    if open_ is None:
-                        open_ = kept[step] = {0: column}  # lacking none: all
+                if left in checks:
+                    fill, open_ = checks[left]
                     for mon, c0 in poly.items():
-                        owed = owes.get(mon)
-                        if owed is None:
-                            owed = 0
-                            for at, k in need:
-                                m = mon // at % base
+                        lack = lacks.get(mon)
+                        if lack is None:
+                            lack = 0
+                            for s, k in need:
+                                m = mon // s % base
                                 if m < k:
-                                    owed += (k - m) * (at + top)
-                            owes[mon] = owed
-                        entries = open_.get(owed)
+                                    lack += (k - m) * s
+                            lacks[mon] = lack
+                        entries = open_.get(lack)
                         if entries is None:
-                            entries = open_[owed] = _routable(column, watch, owed, left, base, top)
+                            # the children whose lack the later photons can fill
+                            entries = open_[lack] = [
+                                e for e in column
+                                if (lack - e[0] if lack // e[0] % base else lack) in fill]
                         for stride, cij in entries:
                             new = mon + stride
                             new_poly[new] = get(new, 0j) + c0 * cij
@@ -443,6 +407,8 @@ def kerr_gate(
     spec: KerrGateSpec, a: Channel, b: Channel, state: FockState
 ) -> FockState:
     """Cross-phase gate: ket |n_a, n_b> acquires phase exp(-i tau n_a n_b)."""
+    if a == b:
+        raise ModeMismatchError("Kerr gate channels must be distinct")
     for c in (a, b):
         if c not in state.channels:
             raise ModeMismatchError(f"channel {c} not in state")

@@ -180,6 +180,11 @@ class TestKerrGate:
         with pytest.raises(ModeMismatchError, match="channel c not in state"):
             kerr_gate(KerrGateSpec(1.0), A, C, FockState.basis((A, B), (1, 1)))
 
+    def test_repeated_channel_rejected(self):
+        # exp(-i tau n_a n_a) is a self-phase, not the cross phase of two channels
+        with pytest.raises(ModeMismatchError, match="distinct"):
+            kerr_gate(KerrGateSpec(1.0), A, A, FockState.basis((A, B), (2, 1)))
+
     def test_non_finite_tau_rejected(self):
         for tau in (math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -579,9 +584,12 @@ class TestHeraldedApply:
     def test_floor_above_the_photon_number_gives_an_empty_state(self):
         t = matrix_transform((A, B, C), unitary_group.rvs(3, random_state=9))
         state = FockState((A, B, C), {(1, 1, 1): 0.6, (2, 0, 0): 0.8})
-        out = apply(t, state, {A: 2, C: 2})
-        assert out.channels == (A, B, C)
-        assert out.amplitudes == {}
+        # kets of at most 3 photons code monomials in base 4, so {A: 4} and
+        # {A: 9} are floors whose lack would not fit in one digit
+        for floor in ({A: 2, C: 2}, {A: 4}, {A: 9}):
+            out = apply(t, state, floor)
+            assert out.channels == (A, B, C)
+            assert out.amplitudes == {}
 
     def test_floor_of_zeros_changes_nothing(self):
         t = number_device_transform(0.3)
@@ -620,6 +628,8 @@ class TestHeraldedApply:
         "number-2": (NUMBER, {0: 1, 3: 2}, (3, 0, 0, 0)),
         "splitter-1": (SPLITTER, {1: 1}, (2, 0, 1, 0)),
         "splitter-2": (SPLITTER, {1: 2, 3: 1}, (1, 0, 2, 0)),
+        # b and d each reachable from the one b photon, but not both at once
+        "splitter-3": (SPLITTER, {1: 1, 3: 1}, (0, 1, 2, 0)),
         "zero-block-1": (ZERO_BLOCK, {0: 1, 2: 1}, (0, 0, 2, 1)),
         "zero-block-2": (ZERO_BLOCK, {0: 2}, (0, 0, 1, 3)),
     }

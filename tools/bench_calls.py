@@ -15,7 +15,9 @@ access is timed where it is paid.  The sweep-row items time `outcome(det)` of
 a device built once and read only its probability and fidelity, as `sweep`
 does per eta^2 row.  The `apply` items time `optics.apply` on
 the (transform, state, floor) that `number_qnd`, `pol_qnd` and `kerr_qnd`
-pass it for their heralded evolution, recorded from one protocol call.  For
+pass it for their heralded evolution, recorded from one protocol call; each
+`unfloored` item beside one times the same transform and state without the
+floor, so the two show what the floor saves or costs on that device.  For
 each item the table gives each side's best round, in microseconds per call,
 the median over rounds of the change/parent ratio, and the rounds the change
 won.  `--out` also writes every round's figures as JSON.  Standard library
@@ -79,6 +81,7 @@ def items(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
         def record(t, state, floor=None, item=item):
             if floor is not None:
                 calls[item + " apply"] = lambda: optics.apply(t, state, floor)
+                calls[item + " unfloored"] = lambda: optics.apply(t, state)
             return real(t, state, floor)
         protocols.apply = record
         calls[item]()

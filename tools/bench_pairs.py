@@ -16,8 +16,9 @@ digests differ, sums failed ops and mishandled edge requests per side, and
 lists the runs that are not `correct`; one stderr line repeats it.  Each
 workload also gets one `perfbench/run.py --trace 1` run per checkout on the
 first seed: traced runs replay fixed decks, so their counts repeat for a seed,
-and the output records both sides' per-layer values and the count metrics
-whose values differ.  It also records both commits (null, with a warning
+and the output records both sides' count metrics and the names of those whose
+values differ.  The traced runs' timings are not recorded: from one run per
+side they carry tens of percent of noise.  It also records both commits (null, with a warning
 on stderr, for a checkout that is not a git work tree), a sha256 of each
 checkout's `src/**/*.py`, their `src/` line counts
 (`src_lines` in total, `src_module_lines` per file under `src/`), the CPU
@@ -146,17 +147,18 @@ def checks(pairs: list[dict]) -> dict:
 
 
 def traced_runs(parent: Path, change: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One traced run per side: both sides' per-layer values, and the names of
-    the count metrics whose values differ."""
-    metrics = {side: perfbench(checkout, workload, seed, seconds, 1)[0]["metrics"]
-               for side, checkout in (("parent", parent), ("change", change))}
-    values = {side: {k: v["value"] for k, v in m.items()} for side, m in metrics.items()}
-    counts = {k for m in metrics.values() for k, v in m.items() if v["unit"] == "count"}
+    """One traced run per side: both sides' count metrics, and the names of
+    those whose values differ.  Its timings are left out: from one run per
+    side they carry tens of percent of noise."""
+    counts = {side: {k: v["value"] for k, v in
+                     perfbench(checkout, workload, seed, seconds, 1)[0]["metrics"].items()
+                     if v["unit"] == "count"}
+              for side, checkout in (("parent", parent), ("change", change))}
     return {
         "seed": seed,
-        **values,
-        "counts_differ": sorted(k for k in counts
-                                if values["parent"].get(k) != values["change"].get(k)),
+        **counts,
+        "counts_differ": sorted(k for k in counts["parent"].keys() | counts["change"].keys()
+                                if counts["parent"].get(k) != counts["change"].get(k)),
     }
 
 
