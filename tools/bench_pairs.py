@@ -18,9 +18,9 @@ workload also gets one `perfbench/run.py --trace 1` run per checkout on the
 first seed: traced runs replay fixed decks, so their counts repeat for a seed,
 and the output records both sides' count metrics and the names of those whose
 values differ.  The traced runs' timings are not recorded: from one run per
-side they carry tens of percent of noise.  It also records both commits (null, with a warning
-on stderr, for a checkout that is not a git work tree), a sha256 of each
-checkout's `src/**/*.py`, their `src/` line counts
+side they carry tens of percent of noise.  It also records both commits
+(null, with a warning on stderr, for a checkout that is not a git work tree),
+a sha256 of each checkout's `src/**/*.py`, their `src/` line counts
 (`src_lines` in total, `src_module_lines` per file under `src/`), the CPU
 model, and numpy's BLAS build and run-time kernel: the circuit-evolve digest
 depends on the kernel.  Runs last `run_seconds` from the change's
