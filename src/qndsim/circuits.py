@@ -41,9 +41,10 @@ class CircuitSyntaxError(ValueError):
 def parse_complex(tok: str) -> complex:
     """Read a complex literal such as `0.5-0.5i` or `-inf`; raises ValueError if malformed."""
     try:
-        # upper case keeps the letters of inf and infinity; every other `i` is the unit
-        text = tok.strip().replace("inf", "INF").replace("inity", "INITY")
-        return complex(text.replace("i", "j"))
+        text = tok  # complex() skips surrounding whitespace itself
+        if "n" in text:  # upper case keeps the letters of inf and infinity
+            text = text.replace("inf", "INF").replace("inity", "INITY")
+        return complex(text.replace("i", "j"))  # every other `i` is the unit
     except ValueError:
         raise ValueError(f"bad complex literal {tok!r}") from None
 

@@ -267,7 +267,7 @@ def circuit(path, amps):
             raise UsageError(f"--amp amplitudes too {size} to normalize: {' '.join(amps)}")
         state = _spec(state.normalized)
     lines = ["channels " + " ".join(str(c) for c in transform.channels)]
-    lines += [" ".join(_fmt_complex(z) for z in row) for row in transform.matrix]
+    lines += [" ".join(_fmt_complex(z) for z in row) for row in zip(*transform.columns)]
     sys.stdout.write("\n".join(lines) + "\n")
     if state is not None:
         result = apply_transform(transform, state)

@@ -1,9 +1,17 @@
 """Linear-optical elements as unitary transforms on creation operators.
 
-A ModeTransform stores the matrix U with column j holding the image of channel
-j's creation operator: a_j^dagger -> sum_i U[i, j] a_i^dagger.  Applying a
-transform to a state expands these substitutions ket by ket.  The Kerr cross
-phase gate is not a linear mode transform and acts directly on amplitudes.
+A ModeTransform stores the unitary U as its columns: column j, a tuple of
+Python complex, is the image of channel j's creation operator,
+a_j^dagger -> sum_i U[i, j] a_i^dagger.  Applying a transform to a state
+expands these substitutions ket by ket.  The Kerr cross phase gate is not a
+linear mode transform and acts directly on amplitudes.
+
+The builders, the constructor's unitarity check and `apply` are plain
+Python.  numpy is imported inside two functions only: `compose`, which
+multiplies its padded factors with numpy's matrix product and measures the
+product's deviation from unitarity there, and the `matrix` property, which
+builds an ndarray for callers that want one.  So evolving a state and
+detecting it never import numpy.
 """
 
 from __future__ import annotations
@@ -12,9 +20,8 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .fock import (
     Channel,
@@ -32,6 +39,8 @@ UNITARY_TOL = 1e-12
 # leave roundoff of about that size.  An exact amplitude that small goes too;
 # one above the cut is kept however small, since the cut scales with the input
 _RESIDUE = 1e-30
+
+Columns = tuple[tuple[complex, ...], ...]  # column j holds U[i, j] for each i
 
 
 class NonUnitaryError(ValueError):
@@ -66,43 +75,42 @@ class KerrGateSpec:
 
 
 class ModeTransform:
-    """Unitary acting on an ordered tuple of channels."""
+    """Unitary acting on an ordered tuple of channels, held as its `columns`."""
 
-    __slots__ = ("channels", "matrix")
+    __slots__ = ("channels", "columns")
 
-    def __init__(self, channels: Iterable[Channel], matrix: np.ndarray):
+    def __init__(self, channels: Iterable[Channel], matrix):
+        """`matrix` is U row by row: nested sequences or a 2-D array, of numbers."""
         chans = as_channels(channels)
-        mat = np.asarray(matrix, dtype=complex)
-        if not chans and not mat.size:
-            mat = mat.reshape(0, 0)  # [] has shape (0,)
-        if mat.shape != (len(chans), len(chans)):
-            raise ValueError(f"matrix shape {mat.shape} for {len(chans)} channels")
-        # a unitary's entries lie in the unit disc; one past 2, or NaN, is
-        # refused before the product, which it could overflow or fill with NaN
-        peak = np.abs(mat).max(initial=0.0)
-        if not peak <= 2.0:
-            raise NonUnitaryError(f"matrix is not unitary (entry of magnitude {peak:.3e})")
-        dev = np.linalg.norm(mat.conj().T @ mat - np.eye(len(chans)))
-        if not dev <= UNITARY_TOL:
-            raise NonUnitaryError(f"matrix is not unitary (deviation {dev:.3e})")
-        mat.setflags(write=False)
+        columns = tuple(zip(*_rows(matrix, len(chans))))
+        _check_unitary(columns)
         object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
-    def _trusted(cls, channels: tuple[Channel, ...], matrix: np.ndarray) -> "ModeTransform":
-        """Wrap a complex matrix already known to be unitary on `channels`."""
+    def _trusted(cls, channels: tuple[Channel, ...], columns: Columns) -> "ModeTransform":
+        """Wrap complex columns already known to be unitary on `channels`."""
         self = object.__new__(cls)
-        matrix.setflags(write=False)
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "columns", columns)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ModeTransform is immutable")
 
+    @property
+    def matrix(self):
+        """U as a read-only complex ndarray, U[i, j] = columns[j][i], built on each read."""
+        import numpy as np
+
+        n = len(self.channels)
+        mat = np.array(self.columns, dtype=complex).reshape(n, n).T.copy()
+        mat.setflags(write=False)
+        return mat
+
     def dagger(self) -> "ModeTransform":
-        return ModeTransform(self.channels, np.asarray(self.matrix).conj().T)
+        # row j of U^dagger is column j of U, conjugated
+        return ModeTransform(self.channels, [[z.conjugate() for z in col] for col in self.columns])
 
     def embedded(self, channels: Iterable[Channel]) -> "ModeTransform":
         """Pad with identity onto a larger channel tuple.
@@ -118,28 +126,78 @@ class ModeTransform:
             if c not in index:
                 raise ModeMismatchError(f"cannot embed: {c} missing from target")
         at = [index[c] for c in self.channels]
-        return ModeTransform._trusted(chans, _padded(self, at, len(chans)))
+        return ModeTransform._trusted(chans, _padded(self.columns, at, len(chans)))
 
     def __repr__(self) -> str:
         labels = ",".join(str(c) for c in self.channels)
         return f"ModeTransform([{labels}])"
 
 
-def _padded(t: ModeTransform, at: list[int], n: int) -> np.ndarray:
-    """The n x n identity with `t.matrix` set, entry by entry, at the rows and
-    columns `at` (the positions of `t`'s channels)."""
-    if len(at) == n and at == list(range(n)):
-        return t.matrix  # already on these channels, in this order
-    out = np.eye(n, dtype=complex)
-    for i, row in zip(at, t.matrix.tolist()):
-        for j, z in zip(at, row):
-            out[i, j] = z
-    return out
+def _rows(matrix, n: int) -> list[tuple[complex, ...]]:
+    """`matrix`'s rows with complex entries; ValueError unless it is n x n."""
+    try:
+        rows = [tuple(map(complex, row)) for row in matrix]
+    except TypeError:
+        raise ValueError(f"matrix for {n} channels is not rows of numbers") from None
+    if len(rows) != n or any(len(row) != n for row in rows):
+        widths = {len(row) for row in rows}
+        if len(widths) > 1:
+            lengths = ", ".join(str(len(row)) for row in rows)
+            raise ValueError(f"matrix rows of lengths {lengths} for {n} channels")
+        raise ValueError(f"matrix shape {(len(rows), *widths)} for {n} channels")
+    return rows
+
+
+def _check_unitary(columns: Columns, dev: float | None = None) -> None:
+    """Raise NonUnitaryError unless U^dagger U is within UNITARY_TOL of the
+    identity in the Frobenius norm; `dev`, if given, is that distance as
+    measured elsewhere.  An entry past 2 in magnitude, or NaN, is named
+    instead of the deviation it causes."""
+    if dev is None:
+        conj = [tuple(map(complex.conjugate, col)) for col in columns]
+        mul = operator.mul
+        # U^dagger U is Hermitian: its diagonal and upper triangle give the norm
+        diagonal = off = 0.0
+        for j, col in enumerate(columns):
+            d = sum(map(mul, conj[j], col)).real - 1.0
+            diagonal += d * d
+            for left in conj[:j]:
+                g = sum(map(mul, left, col))
+                off += g.real * g.real + g.imag * g.imag
+        dev = math.sqrt(diagonal + 2.0 * off)
+    if dev <= UNITARY_TOL:
+        return  # then every column's norm is within 1 + tol: no entry past 1, nor NaN
+    peak = 0.0
+    for z in chain.from_iterable(columns):
+        try:
+            size = abs(z)
+        except OverflowError:  # finite parts whose magnitude passes the largest float
+            size = math.inf
+        if size != size:  # NaN
+            peak = size
+            break
+        peak = max(peak, size)
+    if not peak <= 2.0:
+        raise NonUnitaryError(f"matrix is not unitary (entry of magnitude {peak:.3e})")
+    raise NonUnitaryError(f"matrix is not unitary (deviation {dev:.3e})")
+
+
+def _padded(columns: Columns, at: list[int], n: int) -> Columns:
+    """The n x n identity's columns with `columns` set, entry by entry, at the
+    rows and columns `at`."""
+    zeros = (0j,) * n
+    out = [zeros[:j] + (1 + 0j,) + zeros[j + 1:] for j in range(n)]
+    for j, col in zip(at, columns):
+        full = [0j] * n
+        for i, z in zip(at, col):
+            full[i] = z
+        out[j] = tuple(full)
+    return tuple(out)
 
 
 def identity_transform(channels: Iterable[Channel]) -> ModeTransform:
     chans = as_channels(channels)
-    return ModeTransform._trusted(chans, np.eye(len(chans), dtype=complex))
+    return ModeTransform._trusted(chans, _padded((), [], len(chans)))
 
 
 def matrix_transform(channels: Iterable[Channel], matrix) -> ModeTransform:
@@ -165,23 +223,31 @@ def beam_splitter(
         raise ModeMismatchError("beam splitter inputs must both be polarized or both not")
     if set(c1) & set(c2):
         raise ModeMismatchError("beam splitter inputs must be distinct")
-    t = math.sqrt(spec.transmission)
+    t = complex(math.sqrt(spec.transmission))
     r = math.sqrt(1.0 - spec.transmission)
-    tr = (r, -r) if spec.flip else (-r, r)
+    # the reflected entries U[in1, in2] and U[in2, in1]
+    back, across = (complex(r), complex(-r)) if spec.flip else (complex(-r), complex(r))
     n = len(c1)
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i in range(n):
-        j = i + n
-        mat[i, i] = mat[j, j] = t
-        mat[i, j], mat[j, i] = tr
-    return ModeTransform._trusted(c1 + c2, mat)
+    cols = []
+    for j in range(2 * n):
+        col = [0j] * (2 * n)
+        col[j] = t
+        col[(j + n) % (2 * n)] = across if j < n else back
+        cols.append(tuple(col))
+    return ModeTransform._trusted(c1 + c2, tuple(cols))
 
 
 def phase_shifter(phi: float, mode: Mode | Channel) -> ModeTransform:
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     chans = _mode_channels(mode)
-    return ModeTransform._trusted(chans, np.exp(1j * phi) * np.eye(len(chans)))
+    z = cmath.exp(1j * phi)
+    # the entries of z times the identity as complex products, as numpy forms
+    # them: z * 0j can be -0 in either part, and compose's zero signs keep it
+    one, zero = z * (1 + 0j), z * 0j
+    n = len(chans)
+    return ModeTransform._trusted(
+        chans, tuple(tuple(one if i == j else zero for i in range(n)) for j in range(n)))
 
 
 def polarization_rotator(angle: float, mode: Mode) -> ModeTransform:
@@ -190,10 +256,9 @@ def polarization_rotator(angle: float, mode: Mode) -> ModeTransform:
         raise ModeMismatchError("polarization rotator needs a polarized mode")
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle}")
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = complex(math.cos(angle)), math.sin(angle)
     # columns: images of H and V
-    mat = np.array([[c, -s], [s, c]], dtype=complex)
-    return ModeTransform._trusted(mode.channels, mat)
+    return ModeTransform._trusted(mode.channels, ((c, complex(s)), (complex(-s), c)))
 
 
 def polarizing_beam_splitter(in1: Mode, in2: Mode) -> ModeTransform:
@@ -205,26 +270,38 @@ def polarizing_beam_splitter(in1: Mode, in2: Mode) -> ModeTransform:
         raise ModeMismatchError("polarizing beam splitter inputs must be distinct")
     h1, v1 = in1.channels
     h2, v2 = in2.channels
-    chans = (h1, v1, h2, v2)
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = 1.0  # H stays
-    mat[2, 2] = 1.0
-    mat[3, 1] = 1.0  # V crosses
-    mat[1, 3] = 1.0
-    return ModeTransform._trusted(chans, mat)
+    one, zero = 1 + 0j, 0j
+    # columns: images of h1, v1, h2, v2; H stays, V crosses
+    return ModeTransform._trusted((h1, v1, h2, v2), (
+        (one, zero, zero, zero), (zero, zero, zero, one),
+        (zero, zero, one, zero), (zero, one, zero, zero)))
 
 
 def compose(first: ModeTransform, *rest: ModeTransform) -> ModeTransform:
     """`first` followed by each of `rest`: padded(t_k) @ ... @ padded(first), each
-    factor identity-padded onto the union of the channels in order of first appearance."""
+    factor identity-padded onto the union of the channels in order of first
+    appearance.  The product is numpy's, so its bits are those of the BLAS
+    kernel numpy picks; the factors are unitary, so only the product is checked."""
+    import numpy as np
+
     index: dict[Channel, int] = {}  # union channel -> position, in one pass
     placed = [(t, [index.setdefault(c, len(index)) for c in t.channels])
               for t in (first, *rest)]
-    total = _padded(*placed[0], len(index))
-    for t, at in placed[1:]:
-        total = _padded(t, at, len(index)) @ total
-    return ModeTransform(tuple(index), total)  # the product, checked once
-
+    n = len(index)
+    whole = list(range(n))
+    total = None
+    for t, at in placed:
+        if at == whole:  # already on these channels, in this order
+            factor = np.array(t.columns, dtype=complex).reshape(n, n).T.copy()
+        else:
+            factor = np.eye(n, dtype=complex)
+            for j, col in zip(at, t.columns):
+                for i, z in zip(at, col):
+                    factor[i, j] = z
+        total = factor if total is None else factor @ total
+    columns = tuple(map(tuple, total.T.tolist()))
+    _check_unitary(columns, np.linalg.norm(total.conj().T @ total - np.eye(n)))
+    return ModeTransform._trusted(tuple(index), columns)
 
 def _factorials_overflow(occ: tuple[int, ...]) -> str:
     return f"ket {occ}: its normalization sqrt(prod n!) overflows a float"
@@ -267,7 +344,7 @@ def apply(
         full = t.embedded(state.channels)
     base = max((sum(occ) for occ in state.amplitudes), default=0) + 1
     strides = [base**i for i in range(len(state.channels))]
-    cols = full.matrix.T.tolist()
+    cols = full.columns
     # column j of the matrix, as (stride of channel i, U[i, j]) for U[i, j] != 0
     columns = [[(s, cij) for s, cij in zip(strides, col) if cij != 0] for col in cols]
     need = []  # (stride, fewest photons) per channel with a positive floor

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from qndsim import optics
 from qndsim.circuits import CircuitSyntaxError, parse_circuit, parse_complex
 from qndsim.fock import Mode
 from qndsim.optics import (
     BeamSplitterSpec,
-    ModeTransform,
     beam_splitter,
     compose,
     identity_transform,
@@ -192,13 +192,13 @@ def test_each_matrix_block_and_the_product_checked_once(monkeypatch):
     is unitary by construction, see test_properties.py); a raw `matrix` block
     is checked, and so is the product."""
     checked = []
-    init = ModeTransform.__init__
+    check = optics._check_unitary
 
-    def counted(self, channels, matrix):
-        checked.append(len(matrix))
-        init(self, channels, matrix)
+    def counted(columns, *dev):
+        checked.append(len(columns))
+        check(columns, *dev)
 
-    monkeypatch.setattr(ModeTransform, "__init__", counted)
+    monkeypatch.setattr(optics, "_check_unitary", counted)
     parse_circuit((DATA / "four_mode_interferometer.qc").read_text())
     assert checked == [4]  # the product of three splitters, not the splitters
     checked.clear()
@@ -278,6 +278,11 @@ class TestErrors:
     def test_bad_complex_literal(self):
         with pytest.raises(CircuitSyntaxError, match="complex"):
             parse_circuit("mode a\nmatrix 1 zzz\n")
+
+    @pytest.mark.parametrize("text", ["inf+x", " nan0 ", "1+2k"])
+    def test_bad_complex_literal_named_as_written(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"bad complex literal {text!r}")):
+            parse_complex(text)
 
     def test_matrix_entry_count(self):
         with pytest.raises(CircuitSyntaxError, match="entries"):

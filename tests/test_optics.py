@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -648,3 +649,197 @@ class TestHeraldedApply:
                 if all(occ[i] >= k for i, k in floor_at.items())}
         assert 0 < len(kept) < len(full)
         assert exact_items(apply(t, state, floor).amplitudes) == exact_items(kept)
+
+
+# The numpy builders `ModeTransform` once stored an ndarray from, copied here
+# as references: each returns (channels, U) with U[i, j] the image of channel j.
+
+def numpy_padded(mat: np.ndarray, at: list[int], n: int) -> np.ndarray:
+    out = np.eye(n, dtype=complex)
+    for i, row in zip(at, mat.tolist()):
+        for j, z in zip(at, row):
+            out[i, j] = z
+    return out
+
+
+def numpy_beam_splitter(spec, in1, in2):
+    c1 = in1.channels if isinstance(in1, Mode) else (in1,)
+    c2 = in2.channels if isinstance(in2, Mode) else (in2,)
+    t = math.sqrt(spec.transmission)
+    r = math.sqrt(1.0 - spec.transmission)
+    tr = (r, -r) if spec.flip else (-r, r)
+    n = len(c1)
+    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i in range(n):
+        j = i + n
+        mat[i, i] = mat[j, j] = t
+        mat[i, j], mat[j, i] = tr
+    return c1 + c2, mat
+
+
+def numpy_phase_shifter(phi, mode):
+    chans = mode.channels if isinstance(mode, Mode) else (mode,)
+    return chans, np.exp(1j * phi) * np.eye(len(chans))
+
+
+def numpy_polarization_rotator(angle, mode):
+    c, s = math.cos(angle), math.sin(angle)
+    return mode.channels, np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def numpy_polarizing_beam_splitter(in1, in2):
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = mat[2, 2] = mat[3, 1] = mat[1, 3] = 1.0
+    return in1.channels + in2.channels, mat
+
+
+def column_bits(t: ModeTransform) -> list:
+    """Every stored entry's two float parts as exact bits, column by column."""
+    return [[(z.real.hex(), z.imag.hex()) for z in col] for col in t.columns]
+
+
+def array_bits(mat: np.ndarray) -> list:
+    return [[(z.real.hex(), z.imag.hex()) for z in col] for col in mat.T.tolist()]
+
+
+def quadrant_angles(seed: int) -> list[float]:
+    """Seeded angles with cos and sin of each sign pair, and the edge values."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi]
+    return edges + [float(rng.uniform(lo, lo + math.pi / 2)) + k * 2 * math.pi
+                    for lo in (0, math.pi / 2, -math.pi, -math.pi / 2)
+                    for k in (-2, 0, 3) for _ in range(5)]
+
+
+class TestBuilderBits:
+    """The builders emit the columns the numpy builders held, bit for bit,
+    signs of zero included: `compose` multiplies them, and the goldens print
+    the product's zero signs."""
+
+    P, Q = Mode("p", polarized=True), Mode("q", polarized=True)
+
+    @pytest.mark.parametrize("mode", [A, Mode("p", polarized=True)], ids=["one", "pol"])
+    def test_phase_shifter(self, mode):
+        for phi in quadrant_angles(1):
+            chans, mat = numpy_phase_shifter(phi, mode)
+            t = phase_shifter(phi, mode)
+            assert t.channels == chans
+            assert column_bits(t) == array_bits(mat), phi
+
+    def test_phase_shifter_off_diagonal_keeps_negative_zero(self):
+        t = phase_shifter(2.0, self.P)  # cos < 0, sin > 0: z * 0j is (-0, 0)
+        assert column_bits(t)[0][1] == ((-0.0).hex(), (0.0).hex())
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("ports", ["channels", "pol"])
+    def test_beam_splitter(self, flip, ports):
+        in1, in2 = (A, B) if ports == "channels" else (self.P, self.Q)
+        rng = np.random.default_rng(2)
+        for transmission in [0.0, 1.0, 0.5, *rng.uniform(0, 1, 8).tolist()]:
+            spec = BeamSplitterSpec(transmission, flip=flip)
+            chans, mat = numpy_beam_splitter(spec, in1, in2)
+            t = beam_splitter(spec, in1, in2)
+            assert t.channels == chans
+            assert column_bits(t) == array_bits(mat), transmission
+
+    def test_polarization_rotator(self):
+        for angle in quadrant_angles(3):
+            chans, mat = numpy_polarization_rotator(angle, self.P)
+            t = polarization_rotator(angle, self.P)
+            assert t.channels == chans
+            assert column_bits(t) == array_bits(mat), angle
+
+    def test_polarizing_beam_splitter(self):
+        chans, mat = numpy_polarizing_beam_splitter(self.P, self.Q)
+        t = polarizing_beam_splitter(self.P, self.Q)
+        assert t.channels == chans
+        assert column_bits(t) == array_bits(mat)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 6])
+    def test_identity_transform(self, n):
+        chans = tuple(Channel(f"m{i}") for i in range(n))
+        t = identity_transform(chans)
+        assert t.channels == chans
+        assert column_bits(t) == array_bits(np.eye(n, dtype=complex))
+
+    def test_embedded(self):
+        rng = np.random.default_rng(4)
+        target = (A, *self.P.channels, B, C, *self.Q.channels, D)
+        for t in [beam_splitter(BeamSplitterSpec(0.3, flip=True), self.Q, self.P),
+                  phase_shifter(-2.5, self.P), polarization_rotator(4.0, self.Q),
+                  polarizing_beam_splitter(self.Q, self.P),
+                  matrix_transform((D, B, A), unitary_group.rvs(3, random_state=rng))]:
+            at = [target.index(c) for c in t.channels]
+            padded = t.embedded(target)
+            assert padded.channels == target
+            assert column_bits(padded) == array_bits(numpy_padded(t.matrix, at, len(target)))
+
+
+class TestModeTransformInput:
+    """The constructor reads U row by row from any nested numbers, as
+    `np.asarray(matrix, dtype=complex)` once did, bit for bit."""
+
+    U = unitary_group.rvs(3, random_state=5)
+
+    @pytest.mark.parametrize("matrix", [
+        U,
+        U.tolist(),
+        [tuple(row) for row in U.tolist()],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[-0.0, 1, 0], [0, 0, 1j], [-1, -0.0, 0]],
+        np.eye(3, dtype=int),
+    ], ids=["ndarray", "lists", "tuples", "ints", "signed-zeros", "int-array"])
+    def test_entries_bit_for_bit(self, matrix):
+        t = ModeTransform((A, B, C), matrix)
+        assert column_bits(t) == array_bits(np.asarray(matrix, dtype=complex))
+        assert all(type(z) is complex for col in t.columns for z in col)
+
+    @pytest.mark.parametrize("empty", [[], (), np.zeros((0, 0))])
+    def test_zero_by_zero(self, empty):
+        t = ModeTransform((), empty)
+        assert t.columns == () and t.matrix.shape == (0, 0)
+
+    def test_matrix_property_is_a_fresh_read_only_copy(self):
+        t = ModeTransform((A, B, C), self.U)
+        first = t.matrix
+        assert first is not t.matrix and first.flags.c_contiguous
+        assert np.array_equal(first, self.U)
+        with pytest.raises(ValueError):
+            first[0, 0] = 0
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 0], [0]], "matrix rows of lengths 2, 1 for 2 channels"),
+        ([[1], [0, 1]], "matrix rows of lengths 1, 2 for 2 channels"),
+        ([[1, 0, 0], [0, 1, 0]], r"matrix shape \(2, 3\) for 2 channels"),
+        ([], r"matrix shape \(0,\) for 2 channels"),
+        ([1, 0], "matrix for 2 channels is not rows of numbers"),
+        ([[None, 0], [0, 1]], "matrix for 2 channels is not rows of numbers"),
+    ], ids=["ragged-short", "ragged-long", "wide", "empty", "flat", "none"])
+    def test_malformed_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            ModeTransform((A, B), matrix)
+
+    @pytest.mark.parametrize("entry, peak", [
+        (complex(1.5e308, 1.5e308), "inf"),  # finite parts, |z| past the largest float
+        (complex(1e308, 1e308), "1.414e+308"),
+        (complex(math.inf, math.nan), "inf"),  # |z| is inf when either part is
+        (complex(math.nan, 0), "nan"),
+        (2.5, "2.500e+00"),
+    ])
+    def test_entry_magnitude_named(self, entry, peak):
+        """The messages numpy's abs and max gave, NaN winning over inf."""
+        with pytest.raises(NonUnitaryError, match=re.escape(f"(entry of magnitude {peak})")):
+            ModeTransform((A, B), [[1, 0], [entry, 1]])
+
+    def test_nan_named_before_a_larger_entry(self):
+        with pytest.raises(NonUnitaryError, match=r"\(entry of magnitude nan\)"):
+            ModeTransform((A, B), [[math.inf, 0], [math.nan, 1]])
+
+    def test_deviation_named(self):
+        with pytest.raises(NonUnitaryError, match=r"\(deviation 1\.000e-06\)"):
+            ModeTransform((A,), [[1 + 1e-6 / 2]])
+
+    def test_dagger_inverts(self):
+        t = ModeTransform((A, B, C), self.U)
+        assert np.allclose(t.dagger().matrix, self.U.conj().T, atol=0)
+        assert np.allclose(compose(t, t.dagger()).matrix, np.eye(3), atol=1e-12)

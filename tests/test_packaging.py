@@ -1,7 +1,9 @@
 """The package's runtime imports against its declared dependencies."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +54,40 @@ def test_declared_dependencies_are_imported():
 def test_numpy_imported_by_optics_alone():
     """The transform matrices and their one product routine live in `optics`."""
     assert third_party_imports()["numpy"] == ["optics.py"]
+
+
+# Runs in a fresh interpreter: every CLI path a sweep or a run takes, then
+# the two that need numpy.  Prints the numpy flag after each stage.
+_NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+import qndsim.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            qndsim.cli.main.main(args=list(argv), prog_name="qndsim")
+        except SystemExit as exc:
+            assert exc.code in (0, None), (argv, exc.code)
+
+run("sweep", "--protocol", "number", "--gamma", "0,1", "--eta2", "0.5:1:3")
+run("sweep", "--protocol", "pol", "--gamma", "0,1", "--eta2", "0.5:1:3")
+for protocol in ("number", "pol", "teleport-number", "teleport-pol", "kerr"):
+    run("run", protocol)
+kerr = ("--omega", "3e15", "--dt", "3e-11", "--chi3", "2e-22", "--volume", "1e-7")
+run("run", "kerr-tau", *kerr)
+run("kerr-tau", *kerr)
+run("noon-bound", "3")
+print("numpy" in sys.modules)
+from qndsim import parse_circuit
+t = parse_circuit("mode a\\nmode b\\nbs a b T=0.5\\nps a phi=1\\n")
+print("numpy" in sys.modules, t.matrix.shape)
+"""
+
+
+def test_sweep_and_run_paths_import_no_numpy():
+    """numpy serves `compose`'s product and the `matrix` property alone."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["False", "True (2, 2)"]

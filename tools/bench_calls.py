@@ -17,16 +17,22 @@ does per eta^2 row.  The `apply` items time `optics.apply` on
 the (transform, state, floor) that `number_qnd`, `pol_qnd` and `kerr_qnd`
 pass it for their heralded evolution, recorded from one protocol call; each
 `unfloored` item beside one times the same transform and state without the
-floor, so the two show what the floor saves or costs on that device.  For
+floor, so the two show what the floor saves or costs on that device.  The
+`parse` items time `parse_circuit` on two fixed six-channel texts, one
+`matrix` line (the 6 x 6 Fourier matrix) and 18 elements on three polarized
+modes, and `number_device_transform(0.3)` builds and checks a 4 x 4 matrix:
+the paths through the transform constructor, its unitarity check and
+`compose`.  For
 each item the table gives each side's best round, in microseconds per call,
 the median over rounds of the change/parent ratio, and the rounds the change
 won.  `--out` also writes every round's figures as JSON.  Standard library
-only, but for the checkouts' own numpy import.
+only; numpy is imported where a checkout imports it.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import importlib.util
 import json
 import math
@@ -38,6 +44,33 @@ from typing import Callable
 
 ROUNDS = 21
 CALLS = 300
+
+MODES = "mode a pol\nmode b pol\nmode c pol\n"
+# every entry exp(2 pi i jk / 6) / sqrt 6, written with repr
+FOURIER = MODES + "matrix 6 " + " ".join(
+    f"{z.real!r}{z.imag:+}i"
+    for z in (cmath.exp(2j * cmath.pi * j * k / 6) / 6**0.5 for j in range(6) for k in range(6))
+) + "\n"
+ELEMENTS = MODES + """\
+bs a b T=0.3
+ps a phi=1.1
+rot b angle=0.7
+pbs b c
+bs c a T=0.62 flip
+ps c phi=-2.4
+rot a angle=2.9
+bs b c T=0.5
+pbs a b
+ps b phi=0.35
+rot c angle=-1.3
+bs a c T=0.81
+pbs c a
+ps a phi=3.0
+bs b a T=0.17 flip
+rot b angle=0.05
+pbs a c
+ps c phi=-0.6
+"""
 
 
 def load(name: str, checkout: Path):
@@ -56,7 +89,7 @@ def items(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
     """The timed calls of one checkout, by item."""
     load(name, checkout)
     optics, protocols = sys.modules[f"{name}.optics"], sys.modules[f"{name}.protocols"]
-    detection = sys.modules[f"{name}.detection"]
+    detection, circuits = sys.modules[f"{name}.detection"], sys.modules[f"{name}.circuits"]
     spec = protocols.NumberInputSpec.from_gamma(1.0)
     angle = protocols.PolarizationAngle.from_bloch(1.1, 2.3)
     det = detection.DetectorModel(0.88)
@@ -75,6 +108,9 @@ def items(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
         "kerr_qnd": lambda: protocols.kerr_qnd(spec, math.pi, det).conditional_output,
         "number row": lambda: row(number),
         "pol row": lambda: row(pol),
+        "parse matrix": lambda: circuits.parse_circuit(FOURIER),
+        "parse elements": lambda: circuits.parse_circuit(ELEMENTS),
+        "number transform": lambda: protocols.number_device_transform(0.3),
     }
     real = protocols.apply
     for item in ("number_qnd", "pol_qnd", "kerr_qnd"):
