@@ -303,6 +303,7 @@ def compose(first: ModeTransform, *rest: ModeTransform) -> ModeTransform:
     _check_unitary(columns, np.linalg.norm(total.conj().T @ total - np.eye(n)))
     return ModeTransform._trusted(tuple(index), columns)
 
+
 def _factorials_overflow(occ: tuple[int, ...]) -> str:
     return f"ket {occ}: its normalization sqrt(prod n!) overflows a float"
 

@@ -839,7 +839,6 @@ class TestModeTransformInput:
         with pytest.raises(NonUnitaryError, match=r"\(deviation 1\.000e-06\)"):
             ModeTransform((A,), [[1 + 1e-6 / 2]])
 
-    def test_dagger_inverts(self):
+    def test_dagger_is_the_conjugate_transpose(self):
         t = ModeTransform((A, B, C), self.U)
-        assert np.allclose(t.dagger().matrix, self.U.conj().T, atol=0)
-        assert np.allclose(compose(t, t.dagger()).matrix, np.eye(3), atol=1e-12)
+        assert np.array_equal(t.dagger().matrix, self.U.conj().T)

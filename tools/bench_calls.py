@@ -1,5 +1,6 @@
-"""Per-call cost of the five protocols, of two sweep rows and of each heralding
-device's `apply`, parent against change, alternated in one process.
+"""Per-call cost of the five protocols, of two sweep rows, of each heralding
+device's `apply` and of building transforms, parent against change,
+alternated in one process.
 
     python3 tools/bench_calls.py --parent ../parent --change . [--out calls.json]
 
@@ -20,13 +21,13 @@ pass it for their heralded evolution, recorded from one protocol call; each
 floor, so the two show what the floor saves or costs on that device.  The
 `parse` items time `parse_circuit` on two fixed six-channel texts, one
 `matrix` line (the 6 x 6 Fourier matrix) and 18 elements on three polarized
-modes, and `number_device_transform(0.3)` builds and checks a 4 x 4 matrix:
-the paths through the transform constructor, its unitarity check and
-`compose`.  For
-each item the table gives each side's best round, in microseconds per call,
-the median over rounds of the change/parent ratio, and the rounds the change
-won.  `--out` also writes every round's figures as JSON.  Standard library
-only; numpy is imported where a checkout imports it.
+modes, and `number transform` times `number_device_transform(0.3)`, which
+builds and checks a 4 x 4 matrix: the paths through the transform
+constructor, its unitarity check and `compose`.  For each item the table
+gives each side's best round, in microseconds per call, the median over
+rounds of the change/parent ratio, and the rounds the change won.  `--out`
+also writes every round's figures as JSON.  Standard library only; numpy is
+imported where a checkout imports it.
 """
 
 from __future__ import annotations
