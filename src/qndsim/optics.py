@@ -35,9 +35,9 @@ from .fock import (
 UNITARY_TOL = 1e-12
 
 # `apply` drops an output amplitude a with |a|^2 <= _RESIDUE * p^2, p the
-# largest |amplitude| among the input kets that feed it: terms that cancel
-# leave roundoff of about that size.  An exact amplitude that small goes too;
-# one above the cut is kept however small, since the cut scales with the input
+# largest |amplitude| of the input kets that feed it, kept per output ket:
+# cancelling terms leave roundoff of about that size.  An exact amplitude that
+# small goes too; one above this cut, which scales with the input, is kept.
 _RESIDUE = 1e-30
 
 Columns = tuple[tuple[complex, ...], ...]  # column j holds U[i, j] for each i
@@ -304,8 +304,12 @@ def compose(first: ModeTransform, *rest: ModeTransform) -> ModeTransform:
     return ModeTransform._trusted(tuple(index), columns)
 
 
-def _factorials_overflow(occ: tuple[int, ...]) -> str:
-    return f"ket {occ}: its normalization sqrt(prod n!) overflows a float"
+def _root_factorials(prod: int, occ: tuple[int, ...]) -> float:
+    """sqrt(prod), `prod` being prod n! over ket `occ`; ValueError where it overflows."""
+    try:
+        return math.sqrt(prod)
+    except OverflowError:
+        raise ValueError(f"ket {occ}: its normalization sqrt(prod n!) overflows a float") from None
 
 
 def apply(
@@ -315,8 +319,10 @@ def apply(
 
     A monomial prod_i (a_i^dagger)^m_i is coded as the integer sum_i m_i B^i,
     with B one more than the largest photon number among the input kets.
-    Photon number is conserved, so no digit reaches B and a_i^dagger adds B^i,
-    and output codes are decoded to occupation tuples only at the end.
+    Photon number is conserved, so no digit reaches B and a_i^dagger adds B^i.
+    Each output code gets one record, by one decode where it first appears:
+    amplitude, sqrt(prod m!), occupation tuple and peak, the largest |amp|^2
+    among the input kets that feed it.
 
     `floor`, if given, maps channels to the fewest photons (a non-negative
     int) an output ket must hold there; the result is the full output
@@ -331,10 +337,10 @@ def apply(
     dropped, and every parent of a kept monomial is kept, so the kept
     amplitudes are the same sums, in the same order, bit for bit.
 
-    Cancellation residues are dropped here (see `_RESIDUE`), and a NaN or
-    infinite output amplitude raises `ValueError`, so the result meets
-    `FockState`'s invariants and is built without a second check.  So does
-    an input or output ket whose sqrt(prod n!) overflows a float: 171 or
+    Cancellation residues are dropped by each record's peak (see `_RESIDUE`),
+    and a NaN or infinite output amplitude raises `ValueError`, so the result
+    meets `FockState`'s invariants and is built without a second check.  So
+    does an input or output ket whose sqrt(prod n!) overflows a float: 171 or
     more photons in one channel, or fewer spread over several.
     """
     full = t
@@ -380,9 +386,8 @@ def apply(
     checks: dict[int, tuple] = {}  # photons left -> (lacks they fill, lack -> entries)
 
     factorial = [math.factorial(n) for n in range(base)]
-    acc: dict[int, complex] = {}  # output code -> amplitude
-    scales: dict[int, float] = {}  # output code -> sqrt(prod m!), once per code
-    feeds = []  # (|amp|^2, codes it fed) per input ket, for the residue test
+    records: dict[int, list] = {}  # output code -> its record, in order of first appearance
+    find = records.get
     for occ, amp in state.amplitudes.items():
         if need:
             # from the last photon back, `fill` holds the lacks the photons
@@ -411,10 +416,7 @@ def apply(
             if floored not in fill:
                 continue  # its photons cannot meet the floor
         # start from amp / sqrt(prod occ!) and multiply one linear form per photon
-        try:
-            poly = {0: amp / math.sqrt(math.prod(map(factorial.__getitem__, occ)))}
-        except OverflowError:
-            raise ValueError(_factorials_overflow(occ)) from None
+        poly = {0: amp / _root_factorials(math.prod(map(factorial.__getitem__, occ)), occ)}
         left = sum(occ)  # photons still to place
         for n, column in zip(occ, columns):
             for _ in range(n):
@@ -447,37 +449,29 @@ def apply(
                             new = mon + stride
                             new_poly[new] = get(new, 0j) + c0 * cij
                 poly = new_poly
-        feeds.append((abs(amp) ** 2, poly))
-        get = acc.get
+        weight = abs(amp) ** 2
         for mon, c0 in poly.items():
-            scale = scales.get(mon)
-            if scale is None:
-                code, prod = mon, 1
+            record = find(mon)
+            if record is None:
+                code, digits, prod = mon, [], 1
                 for _ in strides:
                     code, m = divmod(code, base)
+                    digits.append(m)
                     prod *= factorial[m]
-                try:
-                    scale = scales[mon] = math.sqrt(prod)
-                except OverflowError:
-                    digits = tuple(mon // s % base for s in strides)
-                    raise ValueError(_factorials_overflow(digits)) from None
-            acc[mon] = get(mon, 0j) + c0 * scale
-    # no code's peak exceeds the largest input |amp|^2, so a code's own peak
-    # is looked up only when its amplitude falls under that cut
-    cut = _RESIDUE * max((w for w, _ in feeds), default=0.0)
+                digits = tuple(digits)
+                record = records[mon] = [0j, _root_factorials(prod, digits), digits, weight]
+            elif record[3] < weight:
+                record[3] = weight
+            record[0] += c0 * record[1]
     out: dict[tuple[int, ...], complex] = {}
-    for mon, amp in acc.items():
+    for amp, _, occ, peak in records.values():
         size = abs(amp)
         mag = size * size  # overflows to inf where ** 2 would raise
-        if mag <= cut and mag <= _RESIDUE * max(w for w, fed in feeds if mon in fed):
+        if mag <= _RESIDUE * peak:
             continue
-        digits = []
-        for _ in strides:
-            mon, m = divmod(mon, base)
-            digits.append(m)
         if not mag < math.inf:  # NaN or infinite
-            raise amplitude_error(amp, tuple(digits), mag)
-        out[tuple(digits)] = amp
+            raise amplitude_error(amp, occ, mag)
+        out[occ] = amp
     return FockState._trusted(state.channels, out)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import re
@@ -489,9 +490,11 @@ class TestPermanentOracle:
             assert abs(out.amplitude(m) - expected) < 1e-12, m
 
 
-def tuple_kernel(t: ModeTransform, state: FockState) -> dict:
+def tuple_kernel(t: ModeTransform, state: FockState, peaks: dict | None = None) -> dict:
     """Reference expansion over tuple monomials and numpy matrix entries, the
-    float operations `apply` must reproduce bit for bit."""
+    float operations `apply` must reproduce bit for bit.  It drops only the
+    kets whose sum is 0.  `peaks`, if given, receives per output ket the
+    largest |amp|^2 among the input kets whose expansion reaches it."""
     mat = t.embedded(state.channels).matrix
     n_ch = len(state.channels)
     out = {}
@@ -511,6 +514,8 @@ def tuple_kernel(t: ModeTransform, state: FockState) -> dict:
         for mon, c0 in poly.items():
             ket_amp = c0 * math.sqrt(math.prod(math.factorial(n) for n in mon))
             out[mon] = out.get(mon, 0j) + ket_amp
+            if peaks is not None:
+                peaks[mon] = max(peaks.get(mon, 0.0), abs(amp) ** 2)
     return FockState(state.channels, out).amplitudes
 
 
@@ -537,6 +542,40 @@ class TestReferenceKernel:
         t = make(rng)
         state = random_state(rng, channels, top, top)
         assert exact_items(apply(t, state).amplitudes) == exact_items(tuple_kernel(t, state))
+
+    # 8 photons on 6 channels.  The 6-mode Fourier matrix's suppression laws,
+    # and two-photon interference at 50:50 splitters, cancel hundreds of output
+    # kets to roundoff or to 0.  The first ket, at 1e-3, feeds the outputs of
+    # larger kets after it, so their peaks are raised; the 1e-16 ket of fewer
+    # photons feeds kets whose |a|^2 lies under 1e-30 but above their own cut.
+    RESIDUE_CASES = {
+        "fourier": ("mode a pol\nmode b pol\nmode c pol\nmatrix 6 " + " ".join(
+            f"{z.real!r}{z.imag:+}i" for z in (
+                cmath.exp(2j * cmath.pi * j * k / 6) / 6**0.5
+                for j in range(6) for k in range(6))) + "\n",
+            {(1, 1, 2, 1, 1, 2): 1e-3, (2, 1, 1, 2, 1, 1): 0.6, (4, 0, 0, 4, 0, 0): 0.5j, (1, 1, 1, 1, 1, 1): -0.5,
+             (0, 2, 2, 0, 2, 2): 0.3 + 0.2j, (1, 0, 1, 0, 1, 0): 1e-16}),
+        "splitter-pairs": ("".join(f"mode m{i}\n" for i in range(6)) + (
+            "ps m0 phi=0.4\nbs m0 m1 T=0.5\nps m1 phi=1.3\nbs m2 m3 T=0.5\n"
+            "ps m2 phi=-0.8\nbs m4 m5 T=0.5 flip\nps m5 phi=2.2\n"),
+            {(1, 1, 1, 1, 2, 2): 1e-3j, (2, 2, 1, 1, 1, 1): 0.6, (1, 1, 3, 3, 0, 0): 0.5j, (0, 0, 2, 2, 2, 2): -0.5,
+             (4, 4, 0, 0, 0, 0): 0.3 + 0.2j, (1, 1, 1, 1, 0, 0): 1e-16}),
+    }
+
+    @pytest.mark.parametrize("floor_at", [{}, {0: 1, 3: 2}], ids=["unfloored", "floored"])
+    @pytest.mark.parametrize("name", list(RESIDUE_CASES))
+    def test_apply_drops_exactly_the_residues(self, name, floor_at):
+        text, kets = self.RESIDUE_CASES[name]
+        t = parse_circuit(text)
+        state = FockState(t.channels, kets)
+        peaks = {}
+        meets = {occ: a for occ, a in tuple_kernel(t, state, peaks).items()
+                 if all(occ[i] >= k for i, k in floor_at.items())}
+        kept = {occ: a for occ, a in meets.items() if abs(a) ** 2 > 1e-30 * peaks[occ]}
+        assert len(kept) < len(meets)  # some residue is dropped
+        assert any(abs(a) ** 2 <= 1e-30 for a in kept.values())
+        floor = {t.channels[i]: k for i, k in floor_at.items()}
+        assert exact_items(apply(t, state, floor).amplitudes) == exact_items(kept)
 
 
 def sparse_state(rng, channels, kets, most):

@@ -1,4 +1,7 @@
+import cmath
+import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,7 @@ from qndsim.protocols import (
 from qndsim.fock import Mode
 from qndsim import detection, protocols
 
-from test_detection import EFFICIENCIES
+from test_detection import EFFICIENCIES, heralded_state, renormalized
 
 DATA = Path(__file__).parent / "data"
 PURE_ONE = NumberInputSpec(0.0, 1.0, 0.0)
@@ -296,6 +299,80 @@ class TestNumberQnd:
         out = number_qnd(PURE_ONE, 0.5)
         assert out.target.channels == (Channel("b"),)
         assert out.conditional_output.channels == (Channel("b"),)
+
+
+def number_law(transmission: float, eta2: float) -> tuple[float, float]:
+    """The four-mode device's exact law, with x = 1 - eta2 the per-photon
+    loss: the fidelity 1/(1 + x T/(1 - T)) for every gamma and c0, and the
+    success probability eta2^2 T(1 - T)(1 - T + x T) of a |1> input."""
+    t, x = transmission, 1.0 - eta2
+    return 1.0 / (1.0 + x * t / (1.0 - t)), eta2**2 * t * (1.0 - t) * (1.0 - t + x * t)
+
+
+def number_qnd_via_ancillas(spec: NumberInputSpec, transmission: float, eta2: float):
+    """`number_qnd`'s lossy readout, each of the detectors a, c and d built as a
+    transmission-eta2 splitter into an unread ancilla before an ideal counter."""
+    a, b, c, d = Channel("a"), Channel("b"), Channel("c"), Channel("d")
+    ancillas = tuple(Channel(f"{ch.spatial}_loss") for ch in (a, c, d))
+    ext = tensor(heralded_state(transmission, (spec.c0, spec.c1, spec.c2)),
+                 FockState.vacuum(ancillas))
+    for ch, anc in zip((a, c, d), ancillas):
+        ext = apply(beam_splitter(BeamSplitterSpec(eta2), ch, anc), ext)
+    total, branches = 0.0, []
+    for lost in itertools.product(range(5), repeat=3):  # the input holds at most 4 photons
+        prob, out = condition(ext, {a: 0, c: 1, d: 1, **dict(zip(ancillas, lost))})
+        total += prob
+        branches.extend(out.branches)
+    return total, detection.fidelity(renormalized(MixedState(tuple(branches))),
+                                     FockState.basis((b,), (1,)))
+
+
+class TestNumberLaw:
+    """The four-mode device at any transmission T, frozen against
+    `number_law` (README, "Four-mode device")."""
+
+    def test_fidelity_and_success_over_seeded_draws(self):
+        rng = np.random.default_rng(2002)
+        for _ in range(300):
+            gamma = 10.0 ** rng.uniform(-3.0, 2.0)
+            c0 = math.sqrt(rng.uniform(0.0, 0.9)) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            transmission, eta2 = rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0)
+            det = DetectorModel(eta2)
+            fid, success = number_law(transmission, eta2)
+            out = number_qnd(NumberInputSpec.from_gamma(gamma, c0), transmission, det)
+            assert out.fidelity == pytest.approx(fid, rel=0.0, abs=1e-14)
+            one = number_qnd(PURE_ONE, transmission, det)
+            assert one.success_probability == pytest.approx(success, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("transmission, eta2, gamma, c0", [
+        (0.5, 0.88, 1.0, 0.0), (0.2, 0.88, 0.0, 0.0), (1 / 3, 0.6, 10.0, 0.3), (0.8, 0.95, 0.1, 0.5j),
+    ])
+    def test_matches_the_loss_ancilla_oracle(self, transmission, eta2, gamma, c0):
+        spec = NumberInputSpec.from_gamma(gamma, c0)
+        prob, fid = number_qnd_via_ancillas(spec, transmission, eta2)
+        out = number_qnd(spec, transmission, DetectorModel(eta2))
+        assert out.success_probability == pytest.approx(prob, rel=1e-12, abs=0.0)
+        assert out.fidelity == pytest.approx(fid, rel=0.0, abs=1e-12)
+        assert fid == pytest.approx(number_law(transmission, eta2)[0], rel=0.0, abs=1e-12)
+        one_prob, _ = number_qnd_via_ancillas(PURE_ONE, transmission, eta2)
+        assert one_prob == pytest.approx(number_law(transmission, eta2)[1], rel=1e-12, abs=0.0)
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's "Library example" block runs as written; its fidelities
+    follow the law at T = 1/2."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    first, *rows = capsys.readouterr().out.splitlines()
+    prob, fid = map(float, first.split())
+    spec = NumberInputSpec.from_gamma(0.1)
+    assert prob == number_qnd(spec, 0.5, DetectorModel(0.88)).success_probability
+    assert fid == pytest.approx(number_law(0.5, 0.88)[0], abs=1e-12)
+    assert [float(row.split()[0]) for row in rows] == [0.8, 0.9, 1.0]
+    for row in rows:
+        e, fid = map(float, row.split())
+        assert fid == pytest.approx(number_law(0.5, e)[0], abs=1e-12)
 
 
 class TestPolQnd:

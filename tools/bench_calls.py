@@ -23,7 +23,10 @@ floor, so the two show what the floor saves or costs on that device.  The
 `matrix` line (the 6 x 6 Fourier matrix) and 18 elements on three polarized
 modes, and `number transform` times `number_device_transform(0.3)`, which
 builds and checks a 4 x 4 matrix: the paths through the transform
-constructor, its unitarity check and `compose`.  For each item the table
+constructor, its unitarity check and `compose`.  `circuit apply` times
+unfloored `optics.apply` of the 18-element circuit on a fixed state of four
+8-photon kets over its six channels (1287 output kets), the size of
+circuit-evolve's slowest ops.  For each item the table
 gives each side's best round, in microseconds per call, the median over
 rounds of the change/parent ratio, and the rounds the change won.  `--out`
 also writes every round's figures as JSON.  Standard library only; numpy is
@@ -72,6 +75,9 @@ rot b angle=0.05
 pbs a c
 ps c phi=-0.6
 """
+# 8 photons on the six channels of ELEMENTS
+CIRCUIT_KETS = {(3, 0, 2, 1, 0, 2): 0.5, (0, 1, 1, 1, 4, 1): 0.5j,
+                (2, 2, 2, 2, 0, 0): -0.5, (1, 0, 0, 0, 0, 7): 0.5}
 
 
 def load(name: str, checkout: Path):
@@ -91,11 +97,14 @@ def items(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
     load(name, checkout)
     optics, protocols = sys.modules[f"{name}.optics"], sys.modules[f"{name}.protocols"]
     detection, circuits = sys.modules[f"{name}.detection"], sys.modules[f"{name}.circuits"]
+    fock = sys.modules[f"{name}.fock"]
     spec = protocols.NumberInputSpec.from_gamma(1.0)
     angle = protocols.PolarizationAngle.from_bloch(1.1, 2.3)
     det = detection.DetectorModel(0.88)
     src = protocols.PdcSourceSpec(0.1)
     number, pol = protocols.number_device(spec, 0.5), protocols.pol_device(spec, angle)
+    circuit = circuits.parse_circuit(ELEMENTS)
+    kets = fock.FockState(circuit.channels, CIRCUIT_KETS)
 
     def row(device):
         outc = device.outcome(det)
@@ -112,6 +121,7 @@ def items(name: str, checkout: Path) -> dict[str, Callable[[], object]]:
         "parse matrix": lambda: circuits.parse_circuit(FOURIER),
         "parse elements": lambda: circuits.parse_circuit(ELEMENTS),
         "number transform": lambda: protocols.number_device_transform(0.3),
+        "circuit apply": lambda: optics.apply(circuit, kets),
     }
     real = protocols.apply
     for item in ("number_qnd", "pol_qnd", "kerr_qnd"):
