@@ -493,7 +493,7 @@ class TestPermanentOracle:
 def tuple_kernel(t: ModeTransform, state: FockState, peaks: dict | None = None) -> dict:
     """Reference expansion over tuple monomials and numpy matrix entries, the
     float operations `apply` must reproduce bit for bit.  It drops only the
-    kets whose sum is 0.  `peaks`, if given, receives per output ket the
+    kets whose |a|^2 is 0.  `peaks`, if given, receives per output ket the
     largest |amp|^2 among the input kets whose expansion reaches it."""
     mat = t.embedded(state.channels).matrix
     n_ch = len(state.channels)
